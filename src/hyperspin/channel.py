@@ -59,8 +59,8 @@ class ChannelConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu <= 1.0:
             raise DomainError(f"mu must be in [0, 1], got {self.mu}")
-        if not self.tau > 0.0:
-            raise DomainError(f"tau must be > 0, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise DomainError(f"tau must be finite and > 0, got {self.tau}")
         if self.omega != 1.0:
             raise DomainError("omega is fixed at 1")
 
@@ -89,9 +89,13 @@ def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
 
     Raises
     ------
+    DomainError
+        If ``t`` is not finite.
     NegativeTimeError
         If ``t < 0``.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, got {t}")
     if t < 0.0:
         raise NegativeTimeError(f"time must be >= 0, got {t}")
     u = 1.0 / (2.0 * cfg.tau)

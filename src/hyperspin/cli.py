@@ -16,20 +16,18 @@ import sys
 from typing import Sequence
 
 from ._version import __version__
-from .channel import ChannelConfig, dephase, memory_kernel
 from .errors import (
+    DomainError,
     GridSyntaxError,
     HyperspinError,
     UnknownChannelError,
     UnknownPresetError,
 )
-from .measures import measure_all
-from .production import channel_params, density_matrix
+from .production import channel_params
 from .selfcheck import run_checks
 from .sweep import (
     CSV_HEADER,
     SweepGrid,
-    SweepRow,
     TimeGrid,
     emit,
     run_preset,
@@ -56,6 +54,16 @@ def _resolve_phi(args: argparse.Namespace) -> float | None:
     if args.phi_deg is not None:
         return math.radians(args.phi_deg)
     return args.phi
+
+
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tau", type=float)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", help="output path (default stdout)")
-    p_sweep.add_argument("--workers", type=int, help="worker threads (values unchanged)")
+    p_sweep.add_argument(
+        "--workers",
+        type=_worker_count,
+        help="accepted for compatibility; evaluation is serial and output never depends on it",
+    )
 
     sub.add_parser("check", help="run the embedded invariant suite")
     return parser
@@ -111,10 +123,13 @@ def _parse_axis(spec: str) -> tuple[str, TimeGrid]:
     if len(parts) != 3:
         raise GridSyntaxError(f"bad grid range {rest!r}; expected START:STOP:STEP")
     try:
-        start, stop, step = (float(p) for p in parts)
+        bounds = [float(p) for p in parts]
     except ValueError:
         raise GridSyntaxError(f"non-numeric grid range {rest!r}") from None
-    return name, TimeGrid(start, stop, step)
+    for label, value in zip(("start", "stop", "step"), bounds):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} {label} must be finite, got {value}")
+    return name, TimeGrid(*bounds)
 
 
 def _sweep_grid_from_args(args: argparse.Namespace) -> SweepGrid:
@@ -144,17 +159,6 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> SweepGrid:
     return SweepGrid(args.channel, values["phi"], values["mu"], values["tau"], axes["time"])
 
 
-def _single_row(args: argparse.Namespace) -> SweepRow:
-    ch = channel_params(args.channel)
-    phi = _resolve_phi(args)
-    rho0 = density_matrix(ch, phi)
-    cfg = ChannelConfig(mu=args.mu, tau=args.tau)
-    k = memory_kernel(args.time, cfg).k
-    eta = k * k + (1.0 - k * k) * cfg.mu
-    record = measure_all(dephase(rho0, eta), eta, k)
-    return SweepRow(ch.name, phi, cfg.mu, cfg.tau, cfg.regime.value, args.time, record)
-
-
 def _write_text(payload: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -178,7 +182,9 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure(args: argparse.Namespace) -> int:
-    row = _single_row(args)
+    point = TimeGrid(args.time, args.time, 1.0)
+    grid = SweepGrid(args.channel, (_resolve_phi(args),), (args.mu,), (args.tau,), point)
+    row = run_sweep(grid).rows[0]
     if args.format == "json":
         payload = json.dumps(row.as_dict()) + "\n"
     else:
@@ -199,7 +205,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     nbytes = emit(result, args.format, sink)
     target = args.out if args.out else "<stdout>"
     print(
-        f"wrote {len(result.rows)} records ({nbytes} bytes, {args.format}) to {target}",
+        f"wrote {len(result)} records ({nbytes} bytes, {args.format}) to {target}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -23,6 +23,8 @@ from .production import DensityMatrix4, HyperonChannel, xstate_params
 
 SQRT3 = math.sqrt(3.0)
 GQD_DENOMINATOR_ATOL = 1e-14
+#: Roundoff allowed outside [0, 1] for concurrence and [-1, 1] for Bloch components.
+DOMAIN_ATOL = 1e-12
 
 
 class SteeringClass(enum.Enum):
@@ -58,7 +60,7 @@ class FanoBloch:
 
     def __post_init__(self) -> None:
         for r in (self.r11, self.r22, self.r33, self.r03, self.r30):
-            if abs(r) > 1.0 + 1e-12:
+            if abs(r) > 1.0 + DOMAIN_ATOL:
                 raise DomainError(f"Bloch component {r} outside [-1, 1]")
 
 
@@ -182,7 +184,7 @@ def entanglement_of_formation(c: float) -> float:
     DomainError
         If ``c`` is outside [0, 1] by more than 1e-12.
     """
-    if not -1e-12 <= c <= 1.0 + 1e-12:
+    if not -DOMAIN_ATOL <= c <= 1.0 + DOMAIN_ATOL:
         raise DomainError(f"concurrence must be in [0, 1], got {c}")
     c = min(max(c, 0.0), 1.0)
     return _binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))

@@ -191,8 +191,10 @@ def _check_phi(phi: float) -> float:
 
 def _denominator(ch: HyperonChannel, phi: float) -> float:
     den = 1.0 + ch.upsilon_psi * math.cos(phi) ** 2
-    # 1 + u*cos^2 >= 1 - |u| > 0 for every registered channel.
-    assert den > 0.01, f"degenerate denominator {den} for {ch.name}"
+    # 1 + u*cos^2 >= 1 - |u| > 0 for every registered channel; only an
+    # upsilon_psi near -1 reaches the degenerate case.
+    if not den > 0.01:
+        raise DomainError(f"degenerate denominator {den} for {ch.name} at phi={phi}")
     return den
 
 

@@ -266,3 +266,16 @@ def test_dephase_domain():
     rho = density_matrix(channel_params("lambda"), HALF_PI)
     with pytest.raises(DomainError):
         dephase(rho, 1.5)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_kernel_rejects_non_finite_time(t):
+    for tau in (0.1, 0.5, 5.0):
+        with pytest.raises(DomainError, match="time must be finite"):
+            kernel(t, tau)
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan])
+def test_config_rejects_non_finite_tau(tau):
+    with pytest.raises(DomainError, match="tau"):
+        ChannelConfig(mu=0.5, tau=tau)

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 CMD = [sys.executable, "-m", "hyperspin"]
 
 
@@ -198,7 +200,7 @@ def test_check_passes():
     assert proc.returncode == 0
     assert "self-check:" in proc.stdout
     assert "failed 0" in proc.stdout
-    for suite in ("production-oracle", "kernel-contract", "hierarchy"):
+    for suite in ("production-oracle", "kernel-contract", "hierarchy", "sweep-oracle"):
         assert suite in proc.stdout
 
 
@@ -206,3 +208,61 @@ def test_check_corrupted_kernel_exits_3():
     proc = run_cli("check", env_extra={"HYPERSPIN_CHECK_CORRUPT": "kernel"})
     assert proc.returncode == 3
     assert "kernel-contract" in proc.stdout
+
+
+MEASURE_POINT = ("measure", "--channel", "lambda", "--phi", "1.2", "--mu", "0.5")
+SWEEP_POINT = ("sweep", "--channel", "lambda", "--phi", "1.2", "--mu", "0.5", "--tau", "0.1")
+
+
+@pytest.mark.parametrize(
+    ("args", "named"),
+    [
+        ((*MEASURE_POINT, "--tau", "5", "--time", "inf"), "time"),
+        ((*MEASURE_POINT, "--tau", "0.1", "--time", "inf"), "time"),
+        ((*MEASURE_POINT, "--tau", "0.1", "--time", "nan"), "time"),
+        ((*MEASURE_POINT, "--tau", "inf", "--time", "1"), "tau"),
+        ((*SWEEP_POINT, "--grid", "time=0:inf:1"), "time stop"),
+        ((*SWEEP_POINT, "--grid", "time=0:1:nan"), "time step"),
+        ((*SWEEP_POINT, "--grid", "time=nan:1:1"), "time start"),
+        (
+            ("sweep", "--channel", "lambda", "--grid", "phi=0:nan:1", "--mu", "0.5",
+             "--tau", "0.1", "--grid", "time=0:1:1"),
+            "phi stop",
+        ),
+        (
+            ("sweep", "--channel", "lambda", "--phi", "1.2", "--mu", "0.5", "--tau", "inf",
+             "--grid", "time=0:1:1"),
+            "tau",
+        ),
+    ],
+)
+def test_non_finite_input_exits_1_naming_it(args, named):
+    proc = run_cli(*args)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
+    assert "finite" in proc.stderr
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_sweep_rejects_bad_worker_count_exits_2(workers):
+    proc = run_cli(*SWEEP_POINT, "--grid", "time=0:1:0.5", "--workers", workers)
+    assert proc.returncode == 2
+    assert "--workers" in proc.stderr
+
+
+def test_sweep_worker_count_is_a_no_op():
+    serial = run_cli(*SWEEP_POINT, "--grid", "time=0:1:0.5", "--workers", "1")
+    wide = run_cli(*SWEEP_POINT, "--grid", "time=0:1:0.5", "--workers", "3")
+    assert serial.returncode == wide.returncode == 0
+    assert serial.stdout == wide.stdout
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "many"])
+def test_sweep_rejects_bad_threads_env_exits_1(threads):
+    proc = run_cli(*SWEEP_POINT, "--grid", "time=0:1:0.5",
+                   env_extra={"HYPERSPIN_THREADS": threads})
+    assert proc.returncode == 1
+    assert "HYPERSPIN_THREADS" in proc.stderr
+

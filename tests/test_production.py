@@ -257,3 +257,12 @@ def test_density_matrix_type_rejects_bad_input():
         DensityMatrix4(m)
     with pytest.raises(DomainError):
         DensityMatrix4(np.eye(4, dtype=complex))  # trace 4
+
+
+def test_degenerate_denominator_raises_domain_error():
+    # upsilon_psi = -1 makes 1 + u*cos(phi)**2 vanish at phi = 0.
+    ch = HyperonChannel("x", -1.0, 0.0)
+    with pytest.raises(DomainError, match="degenerate denominator"):
+        density_matrix(ch, 0.0)
+    with pytest.raises(DomainError, match="degenerate denominator"):
+        polarization(ch, math.pi)

@@ -1,11 +1,17 @@
+import dataclasses
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+import hyperspin.selfcheck as selfcheck_module
+import hyperspin.sweep as sweep_module
 from hyperspin import (
+    DensityMatrix4,
     DomainError,
+    KernelValue,
     PRESETS,
     SweepGrid,
     SweepResult,
@@ -23,6 +29,7 @@ from hyperspin import (
     run_sweep,
 )
 from hyperspin.channel import ChannelConfig
+from hyperspin.selfcheck import _suite_sweep_oracle
 from hyperspin.sweep import CSV_HEADER, format_float
 
 HALF_PI = math.pi / 2.0
@@ -223,3 +230,116 @@ def test_preset_run_is_deterministic():
     assert sink_a.getvalue() == sink_b.getvalue()
     assert len(a.rows) == 501
     assert a.metadata["preset"] == "m08"
+
+
+@pytest.mark.parametrize(
+    ("start", "stop", "step"),
+    [(0.0, math.inf, 1.0), (0.0, 1.0, math.nan), (math.nan, 1.0, 1.0), (math.inf, math.inf, 1.0)],
+)
+def test_time_grid_rejects_non_finite(start, stop, step):
+    with pytest.raises(DomainError, match="finite"):
+        TimeGrid(start, stop, step)
+
+
+def test_grid_rejects_non_finite_tau():
+    for tau in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="tau"):
+            small_grid(tau=(tau,))
+
+
+def test_run_sweep_validates_worker_count(monkeypatch):
+    for workers in (0, -3):
+        with pytest.raises(DomainError, match="workers"):
+            run_sweep(small_grid(), workers=workers)
+    monkeypatch.setenv("HYPERSPIN_THREADS", "0")
+    with pytest.raises(DomainError, match="HYPERSPIN_THREADS"):
+        run_sweep(small_grid())
+
+
+def test_columns_and_rows_render_alike():
+    result = run_sweep(small_grid(phi=(0.0, 0.7, HALF_PI), tau=(0.1, 5.0)))
+    assert len(result) == len(result.rows) == 3 * 2 * 2 * 3
+    explicit = SweepResult(result.rows, result.metadata)
+    for fmt in ("csv", "json"):
+        a, b = io.StringIO(), io.StringIO()
+        assert emit(result, fmt, a) == emit(explicit, fmt, b)
+        assert a.getvalue() == b.getvalue()
+        if fmt == "csv":
+            assert a.getvalue().splitlines()[1:] == [row.csv_line() for row in result.rows]
+    assert CSV_HEADER.split(",") == list(result.rows[0].as_dict())
+
+
+# Patched layers that make the scalar path raise: a kernel above 1 (eta check),
+# and a state whose anti-diagonal breaks the concurrence or Bloch-vector domain.
+def _kernel_above_one_at(t_bad):
+    real = sweep_module.memory_kernel
+
+    def patched(t, cfg):
+        kv = real(t, cfg)
+        return KernelValue(1.2, kv.u, kv.v) if t == t_bad else kv
+
+    return patched
+
+
+def _bogus_state_at(phi_bad, w, z):
+    real = sweep_module.density_matrix
+
+    def patched(ch, phi):
+        if phi != phi_bad:
+            return real(ch, phi)
+        m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+        m[0, 3] = m[3, 0] = w
+        m[1, 2] = m[2, 1] = z
+        return DensityMatrix4._trusted(m)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    ("layer", "patch", "message"),
+    [
+        (
+            "memory_kernel",
+            _kernel_above_one_at(1.0),
+            "eta must be in [0, 1], got 1.44 "
+            "[at channel=lambda, phi=0.0, mu=0.0, tau=0.1, time=1.0]",
+        ),
+        (
+            "density_matrix",
+            _bogus_state_at(HALF_PI, 0.9, 0.0),
+            "concurrence must be in [0, 1], got 1.8 "
+            "[at channel=lambda, phi=1.5707963267948966, mu=0.0, tau=0.1, time=0.0]",
+        ),
+        (
+            "density_matrix",
+            _bogus_state_at(HALF_PI, 0.45, 0.45),
+            "Bloch component 1.8 outside [-1, 1] "
+            "[at channel=lambda, phi=1.5707963267948966, mu=0.0, tau=0.1, time=0.0]",
+        ),
+    ],
+)
+def test_first_offending_row_is_reported(monkeypatch, layer, patch, message):
+    monkeypatch.setattr(sweep_module, layer, patch)
+    with pytest.raises(DomainError) as info:
+        run_sweep(small_grid())
+    assert str(info.value) == message
+
+
+def test_eta_error_precedes_later_state_error(monkeypatch):
+    # Row 2 (phi=0, t=1) fails the eta check before any row of the bogus phi.
+    monkeypatch.setattr(sweep_module, "memory_kernel", _kernel_above_one_at(1.0))
+    monkeypatch.setattr(sweep_module, "density_matrix", _bogus_state_at(HALF_PI, 0.9, 0.0))
+    with pytest.raises(DomainError, match=r"^eta must be .* phi=0\.0, mu=0\.0, .*time=1\.0\]$"):
+        run_sweep(small_grid())
+
+
+def test_sweep_oracle_suite_passes_and_detects_a_mismatch(monkeypatch):
+    assert _suite_sweep_oracle().ok
+    real = selfcheck_module.measure_all
+
+    def skewed(rho, eta, kernel):
+        return dataclasses.replace(real(rho, eta, kernel), gqd=0.5)
+
+    monkeypatch.setattr(selfcheck_module, "measure_all", skewed)
+    suite = _suite_sweep_oracle()
+    assert suite.passed == 0 and suite.failed > 0
