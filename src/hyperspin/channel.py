@@ -46,23 +46,16 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Channel parameters: correlation strength ``mu`` and time constant ``tau``.
-
-    ``omega`` is the telegraph coin amplitude; it is frozen at 1 and carried
-    only for documentation.
-    """
+    """Channel parameters: correlation strength ``mu`` and time constant ``tau``."""
 
     mu: float
     tau: float
-    omega: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu <= 1.0:
             raise DomainError(f"mu must be in [0, 1], got {self.mu}")
         if not 0.0 < self.tau < math.inf:
             raise DomainError(f"tau must be finite and > 0, got {self.tau}")
-        if self.omega != 1.0:
-            raise DomainError("omega is fixed at 1")
 
     @property
     def regime(self) -> Regime:

@@ -11,13 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
 from ._version import __version__
 from .errors import (
-    DomainError,
     GridSyntaxError,
     HyperspinError,
     UnknownChannelError,
@@ -29,6 +27,7 @@ from .sweep import (
     CSV_HEADER,
     SweepGrid,
     TimeGrid,
+    check_range,
     emit,
     run_preset,
     run_sweep,
@@ -113,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_axis(spec: str) -> tuple[str, TimeGrid]:
+def _parse_axis(spec: str) -> tuple[str, TimeGrid | tuple[float, ...]]:
+    """One ``--grid`` axis: a ``TimeGrid`` for time, the point values otherwise."""
     name, sep, rest = spec.partition("=")
     if not sep or name not in GRID_AXES:
         raise GridSyntaxError(
@@ -126,14 +126,14 @@ def _parse_axis(spec: str) -> tuple[str, TimeGrid]:
         bounds = [float(p) for p in parts]
     except ValueError:
         raise GridSyntaxError(f"non-numeric grid range {rest!r}") from None
-    for label, value in zip(("start", "stop", "step"), bounds):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} {label} must be finite, got {value}")
-    return name, TimeGrid(*bounds)
+    if name == "time":
+        return name, TimeGrid(*bounds)
+    start, _, step = bounds
+    return name, tuple(start + k * step for k in range(check_range(name, *bounds)))
 
 
 def _sweep_grid_from_args(args: argparse.Namespace) -> SweepGrid:
-    axes: dict[str, TimeGrid] = {}
+    axes: dict[str, TimeGrid | tuple[float, ...]] = {}
     for spec in args.grid:
         name, rng = _parse_axis(spec)
         if name in axes:
@@ -151,7 +151,7 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> SweepGrid:
         if name in axes:
             if scalars[name] is not None:
                 raise GridSyntaxError(f"{name} given both as scalar and as grid axis")
-            values[name] = tuple(axes[name].values())
+            values[name] = axes[name]
         elif scalars[name] is not None:
             values[name] = (float(scalars[name]),)
         else:
@@ -212,7 +212,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(_: argparse.Namespace) -> int:
-    suites = run_checks(corrupt=os.environ.get("HYPERSPIN_CHECK_CORRUPT"))
+    suites = run_checks()
     all_ok = True
     for suite in suites:
         status = "ok" if suite.ok else "FAILED"

@@ -17,8 +17,6 @@ from .errors import DomainError, NotHermitianError
 Array = np.ndarray
 
 HERMITICITY_ATOL = 1e-10
-EIGENVALUE_ATOL = 1e-9
-TRACE_ATOL = 1e-10
 
 # Pauli matrices in the standard convention (sigma_y with -i/+i off-diagonal)
 # plus the 2x2 identity as index 0.
@@ -32,13 +30,6 @@ for _m in PAULI:
     _m.setflags(write=False)
 
 
-def pauli(index: int) -> Array:
-    """Return the Pauli matrix for ``index`` (0 identity, 1 x, 2 y, 3 z)."""
-    if index not in (0, 1, 2, 3):
-        raise DomainError(f"Pauli index must be in 0..3, got {index!r}")
-    return PAULI[index]
-
-
 def as_matrix(m: Array, dim: int) -> Array:
     """Validate and return ``m`` as a (dim, dim) complex array with finite entries."""
     out = np.asarray(m, dtype=complex)
@@ -47,21 +38,6 @@ def as_matrix(m: Array, dim: int) -> Array:
     if not np.all(np.isfinite(out.view(float))):
         raise DomainError("matrix entries must be finite")
     return out
-
-
-def dagger(m: Array) -> Array:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
-def kron(a: Array, b: Array) -> Array:
-    """Kronecker product of two 2x2 matrices.
-
-    Layout: ``kron(a, b)[2*i + k, 2*j + l] == a[i, j] * b[k, l]``.
-    """
-    a = as_matrix(a, 2)
-    b = as_matrix(b, 2)
-    return np.kron(a, b)
 
 
 def is_hermitian(m: Array, atol: float = HERMITICITY_ATOL) -> bool:

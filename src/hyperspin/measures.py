@@ -80,13 +80,20 @@ class MeasureRecord:
 def steering_operator(
     rho: DensityMatrix4, direction: Literal["ab", "ba"]
 ) -> Array:
-    """Steering operator: affine blend of the state with a one-sided marginal.
+    """Steering operator, the matrix oracle for :func:`steering`.
 
     ``tau = rho/sqrt(3) + (1 - 1/sqrt(3)) * sigma`` where ``sigma`` replaces
     the steering party by the maximally mixed state and keeps the steered
     party's marginal: for direction "ab" (first steers second)
     ``sigma = I/2 (x) rho_B``, for "ba" ``sigma = rho_A (x) I/2``.  The
-    output is Hermitian with unit trace.
+    output is Hermitian with unit trace.  The steerability of ``rho`` in
+    that direction is the X-state entanglement test on ``tau``,
+
+        max{0, 8*sqrt(3) * max(|tau14|^2 - tau22*tau33, |tau23|^2 - tau11*tau44)},
+
+    which :func:`steering` evaluates in closed form on the entries of
+    ``rho``; it is positive exactly when the partial transpose of ``tau``
+    has a negative eigenvalue.
     """
     m = rho.matrix
     eye = np.eye(2, dtype=complex)

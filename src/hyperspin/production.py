@@ -33,13 +33,12 @@ from .errors import (
     NotXStateError,
     UnknownChannelError,
 )
-from .linalg import Array, as_matrix
+from .linalg import HERMITICITY_ATOL, Array, as_matrix
 
 PHI_ATOL = 1e-12
 DISCRIMINANT_ATOL = 1e-12
 XSHAPE_ATOL = 1e-12
 TRACE_ATOL = 1e-10
-HERMITICITY_ATOL = 1e-10
 PSD_ATOL = 1e-9
 
 # Zero-based (row, col) slots of the off-X entries of a 4x4 matrix.

@@ -6,7 +6,9 @@ contract, CPTP bookkeeping, the measure hierarchy, the phi-boundary zeros,
 and the columnar sweep engine against the scalar single-point path) and
 reports per-suite pass/fail counts.  The full-resolution
 versions live in the test suite; this module is for release-gate and
-field diagnostics.
+field diagnostics.  The suites take no options; the test suite's negative
+control substitutes a wrong ``memory_kernel`` in this module and expects
+the check to fail.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .channel import (
     decoherence_factor,
     dephase,
     evolve,
+    flip_probability,
     joint_probabilities,
     kraus_apply,
     memory_kernel,
@@ -53,14 +56,6 @@ class SuiteResult:
     @property
     def ok(self) -> bool:
         return self.failed == 0
-
-
-def _kernel_value(t: float, cfg: ChannelConfig, corrupt: str | None) -> float:
-    k = memory_kernel(t, cfg).k
-    if corrupt == "kernel":
-        # Negative-control hook: a deliberately wrong kernel constant.
-        k *= 1.03
-    return k
 
 
 def _suite_production_oracle() -> SuiteResult:
@@ -98,22 +93,20 @@ def _suite_state_validity() -> SuiteResult:
     return suite
 
 
-def _suite_kernel_contract(corrupt: str | None) -> SuiteResult:
+def _suite_kernel_contract() -> SuiteResult:
     suite = SuiteResult("kernel-contract")
     times = [k * 0.05 for k in range(1001)]
     for tau in (0.05, 0.1, 0.25, 1.0, 5.0):
         cfg = ChannelConfig(mu=0.0, tau=tau)
-        k0 = _kernel_value(0.0, cfg, corrupt)
+        k0 = memory_kernel(0.0, cfg).k
         suite.check(k0 == 1.0, f"tau={tau}: K(0) = {k0}")
         h = 1e-4
         # Second-order one-sided stencil; t < 0 is outside the kernel domain.
         slope = (
-            -3.0 * k0
-            + 4.0 * _kernel_value(h, cfg, corrupt)
-            - _kernel_value(2.0 * h, cfg, corrupt)
+            -3.0 * k0 + 4.0 * memory_kernel(h, cfg).k - memory_kernel(2.0 * h, cfg).k
         ) / (2.0 * h)
         suite.check(abs(slope) < 1e-6, f"tau={tau}: dK/dt(0) = {slope:.2e}")
-        samples = [_kernel_value(t, cfg, corrupt) for t in times]
+        samples = [memory_kernel(t, cfg).k for t in times]
         suite.check(
             max(abs(s) for s in samples) <= 1.0 + 1e-12,
             f"tau={tau}: |K| exceeds 1",
@@ -140,7 +133,7 @@ def _suite_channel_oracle() -> SuiteResult:
                     for t in [k * 1.1 for k in range(11)]:
                         direct = evolve(rho0, t, cfg)
                         k = memory_kernel(t, cfg).k
-                        jp = joint_probabilities(0.5 * (1.0 - k), mu)
+                        jp = joint_probabilities(flip_probability(k), mu)
                         viakraus = kraus_apply(rho0, jp)
                         dev = float(np.max(np.abs(direct.matrix - viakraus.matrix)))
                         suite.check(
@@ -183,9 +176,8 @@ def _suite_hierarchy() -> SuiteResult:
                 for tau in (0.1, 5.0):
                     cfg = ChannelConfig(mu=mu, tau=tau)
                     for t in [k * 0.5 for k in range(21)]:
-                        k = memory_kernel(t, cfg).k
-                        eta = k * k + (1.0 - k * k) * mu
-                        rec = measure_all(evolve(rho0, t, cfg), eta, k)
+                        eta = decoherence_factor(t, cfg)
+                        rec = measure_all(evolve(rho0, t, cfg), eta, memory_kernel(t, cfg).k)
                         chain = (
                             rec.steering.s_ab,
                             rec.concurrence,
@@ -210,9 +202,8 @@ def _suite_phi_boundary() -> SuiteResult:
             rho0 = density_matrix(ch, phi)
             for mu, tau, t in ((0.0, 0.1, 0.7), (0.8, 5.0, 3.0)):
                 cfg = ChannelConfig(mu=mu, tau=tau)
-                k = memory_kernel(t, cfg).k
-                eta = k * k + (1.0 - k * k) * mu
-                rec = measure_all(evolve(rho0, t, cfg), eta, k)
+                eta = decoherence_factor(t, cfg)
+                rec = measure_all(evolve(rho0, t, cfg), eta, memory_kernel(t, cfg).k)
                 zeroed = max(
                     rec.steering.s_ab, rec.steering.s_ba, rec.concurrence, rec.eof, rec.gqd
                 )
@@ -251,12 +242,12 @@ def _suite_sweep_oracle() -> SuiteResult:
     return suite
 
 
-def run_checks(corrupt: str | None = None) -> list[SuiteResult]:
-    """Run every suite; ``corrupt`` switches in the negative-control hooks."""
+def run_checks() -> list[SuiteResult]:
+    """Run every suite in a fixed order and return their tallies."""
     return [
         _suite_production_oracle(),
         _suite_state_validity(),
-        _suite_kernel_contract(corrupt),
+        _suite_kernel_contract(),
         _suite_channel_oracle(),
         _suite_cptp(),
         _suite_hierarchy(),

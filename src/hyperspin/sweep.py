@@ -114,9 +114,24 @@ _STEERING_CLASSES = (
 _CLASS_NAMES = np.array([c.value for c in _STEERING_CLASSES], dtype=object)
 
 
-def format_float(x: float) -> str:
-    """Render a float with 12 significant digits, locale-independent."""
-    return FLOAT_FORMAT % float(x)
+def check_range(axis: str, start: float, stop: float, step: float) -> int:
+    """Validate the progression ``start, start + step, ...`` up to ``stop`` of
+    the named axis and return its number of points.
+
+    Raises
+    ------
+    DomainError
+        If a bound is not finite, ``step <= 0`` or ``stop < start``; the
+        message names ``axis``.
+    """
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise DomainError(f"{axis} {name} must be finite, got {value}")
+    if step <= 0.0:
+        raise DomainError(f"{axis} step must be > 0, got {step}")
+    if stop < start:
+        raise DomainError(f"{axis} stop must be >= start")
+    return int(math.floor((stop - start) / step + 1e-9)) + 1
 
 
 @dataclass(frozen=True)
@@ -128,19 +143,12 @@ class TimeGrid:
     step: float
 
     def __post_init__(self) -> None:
-        for name in ("start", "stop", "step"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"time {name} must be finite, got {value}")
-        if self.step <= 0.0:
-            raise DomainError(f"time step must be > 0, got {self.step}")
-        if self.stop < self.start:
-            raise DomainError("time stop must be >= start")
+        check_range("time", self.start, self.stop, self.step)
         if self.start < 0.0:
             raise DomainError("time start must be >= 0")
 
     def __len__(self) -> int:
-        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        return check_range("time", self.start, self.stop, self.step)
 
     def values(self) -> list[float]:
         return [self.start + k * self.step for k in range(len(self))]
@@ -437,8 +445,10 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     states = [density_matrix(ch, p) for p in grid.phi]
     times = grid.time.values()
     kernel = []
+    regimes = []
     for tau in grid.tau:
         cfg = ChannelConfig(mu=grid.mu[0], tau=tau)
+        regimes.append(cfg.regime.value)
         for t in times:
             try:
                 kernel.append(memory_kernel(t, cfg).k)
@@ -467,7 +477,6 @@ def _evaluate(grid: SweepGrid) -> _Columns:
             _raise_at(grid, states, times, kernel, eta, row)
         for name, col in chunk.items():
             measures[name][start : start + rows.size] = col
-    regimes = [ChannelConfig(mu=grid.mu[0], tau=tau).regime.value for tau in grid.tau]
     return _Columns(grid, regimes, np.array(times), k, eta, measures)
 
 

@@ -339,7 +339,6 @@ def test_criterion_13_determinism():
     import tempfile
 
     env = dict(os.environ)
-    env.pop("HYPERSPIN_CHECK_CORRUPT", None)
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"run{i}.csv") for i in range(4)]
         for i, path in enumerate(paths):

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 from conftest import bisect
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperspin import (
     ChannelConfig,
     DomainError,
+    HyperonChannel,
+    HyperspinError,
     InvalidKernelError,
     JointProbabilities,
     NegativeTimeError,
@@ -19,6 +23,7 @@ from hyperspin import (
     flip_probability,
     joint_probabilities,
     kraus_apply,
+    measure_all,
     memory_kernel,
 )
 
@@ -39,8 +44,6 @@ def test_config_validation_and_regime():
         ChannelConfig(mu=1.2, tau=0.1)
     with pytest.raises(DomainError):
         ChannelConfig(mu=0.5, tau=0.0)
-    with pytest.raises(DomainError):
-        ChannelConfig(mu=0.5, tau=0.1, omega=2.0)
 
 
 def test_kernel_starts_at_one():
@@ -279,3 +282,27 @@ def test_kernel_rejects_non_finite_time(t):
 def test_config_rejects_non_finite_tau(tau):
     with pytest.raises(DomainError, match="tau"):
         ChannelConfig(mu=0.5, tau=tau)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    upsilon=st.one_of(st.sampled_from([1.0, -1.0, -0.99, -0.98]), st.floats(-1.0, 1.0)),
+    delta_theta=st.floats(-math.pi, math.pi),
+    phi=st.one_of(st.sampled_from([0.0, HALF_PI, math.pi]), st.floats(0.0, math.pi)),
+    mu=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    tau=st.sampled_from([0.1, 0.25, 0.5, 5.0]),
+    t=st.floats(0.0, 60.0),
+)
+def test_custom_channels_match_kraus_or_raise(upsilon, delta_theta, phi, mu, tau, t):
+    """Any channel constants either raise inside the ``HyperspinError``
+    hierarchy or evolve as the Kraus sum does and measure cleanly."""
+    try:
+        rho0 = density_matrix(HyperonChannel("x", upsilon, delta_theta), phi)
+        cfg = ChannelConfig(mu=mu, tau=tau)
+        k = memory_kernel(t, cfg).k
+        direct = evolve(rho0, t, cfg)
+        via_kraus = kraus_apply(rho0, joint_probabilities(flip_probability(k), mu))
+        measure_all(direct, decoherence_factor(t, cfg), k)
+    except HyperspinError:
+        return
+    assert np.max(np.abs(direct.matrix - via_kraus.matrix)) <= 1e-12

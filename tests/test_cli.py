@@ -1,17 +1,19 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+
+from hyperspin import KernelValue, cli, memory_kernel, selfcheck
 
 CMD = [sys.executable, "-m", "hyperspin"]
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
-    env.pop("HYPERSPIN_CHECK_CORRUPT", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -204,10 +206,38 @@ def test_check_passes():
         assert suite in proc.stdout
 
 
-def test_check_corrupted_kernel_exits_3():
-    proc = run_cli("check", env_extra={"HYPERSPIN_CHECK_CORRUPT": "kernel"})
-    assert proc.returncode == 3
-    assert "kernel-contract" in proc.stdout
+def test_check_corrupted_kernel_exits_3(monkeypatch, capsys):
+    # Negative control: a kernel off by 3% that still satisfies |K| <= 1, so
+    # only the check suites (not the channel's own |K| guard) can catch it.
+    def corrupted(t, cfg):
+        k = memory_kernel(t, cfg)
+        return KernelValue(k.k * 0.97, k.u, k.v)
+
+    monkeypatch.setattr(selfcheck, "memory_kernel", corrupted)
+    assert cli.main(["check"]) == 3
+    out = capsys.readouterr().out
+    assert re.search(r"^kernel-contract: passed \d+, failed [1-9]\d* \[FAILED\]$", out, re.M)
+
+
+@pytest.mark.parametrize(
+    ("grid", "named"),
+    [
+        ("phi=-0.5:1:0.5", "phi value -0.5 outside [0, pi]"),
+        ("mu=-0.1:0.5:0.1", "mu value -0.1 outside [0, 1]"),
+        ("tau=-1:1:1", "tau value -1.0 must be finite and > 0"),
+        ("mu=0.5:0.1:0.1", "mu stop must be >= start"),
+        ("phi=0:1:-1", "phi step must be > 0"),
+    ],
+)
+def test_sweep_grid_errors_name_their_axis(grid, named, capsys):
+    axis = grid.partition("=")[0]
+    scalars = [f"--{n}={v}" for n, v in (("phi", 1.2), ("mu", 0.5), ("tau", 0.1)) if n != axis]
+    argv = ["sweep", "--channel", "lambda", *scalars, "--grid", grid, "--grid", "time=0:1:1"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+    assert "time" not in captured.err
 
 
 MEASURE_POINT = ("measure", "--channel", "lambda", "--phi", "1.2", "--mu", "0.5")

@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from hyperspin import NotHermitianError, channel_params, density_matrix
-from hyperspin.linalg import (
-    SIGMA_0,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    hermitian_eigenvalues,
-    kron,
-    partial_trace,
-    pauli,
-)
+from hyperspin.linalg import PAULI, hermitian_eigenvalues, partial_trace
 
 RNG = np.random.default_rng(20240817)
 
@@ -21,49 +12,10 @@ def random_complex(shape):
 
 
 def test_pauli_constants():
-    assert np.array_equal(pauli(0), np.eye(2))
-    assert np.array_equal(pauli(1) @ pauli(1), np.eye(2))
-    assert np.allclose(pauli(1) @ pauli(2), 1j * pauli(3))
-    assert pauli(2)[0, 1] == -1j
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(SIGMA_0, SIGMA_0), np.eye(4))
-
-
-def test_kron_diagonal_pauli():
-    assert np.array_equal(kron(SIGMA_Z, SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_kron_permutation_structure():
-    out = kron(SIGMA_X, SIGMA_X)
-    assert np.array_equal(out, np.fliplr(np.eye(4)))
-
-
-def test_kron_index_layout():
-    a = random_complex((2, 2))
-    b = random_complex((2, 2))
-    out = kron(a, b)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    assert abs(out[2 * i + k, 2 * j + l] - a[i, j] * b[k, l]) < 1e-15
-
-
-def test_kron_bilinear():
-    a = random_complex((2, 2))
-    b = random_complex((2, 2))
-    alpha = 0.37 - 1.2j
-    assert np.max(np.abs(kron(alpha * a, b) - alpha * kron(a, b))) < 1e-14
-    assert np.max(np.abs(kron(a, alpha * b) - alpha * kron(a, b))) < 1e-14
-
-
-def test_kron_trace_multiplicative():
-    for _ in range(10):
-        a = random_complex((2, 2))
-        b = random_complex((2, 2))
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
+    assert np.array_equal(PAULI[0], np.eye(2))
+    assert np.array_equal(PAULI[1] @ PAULI[1], np.eye(2))
+    assert np.allclose(PAULI[1] @ PAULI[2], 1j * PAULI[3])
+    assert PAULI[2][0, 1] == -1j
 
 
 def test_partial_trace_maximally_mixed():
@@ -102,7 +54,7 @@ def test_partial_trace_recovers_kron_factors():
     a = a + a.conj().T
     b = random_complex((2, 2))
     b = b + b.conj().T + 4.0 * np.eye(2)  # keep trace away from zero
-    prod = kron(a, b)
+    prod = np.kron(a, b)
     assert np.max(np.abs(partial_trace(prod, "first") / np.trace(b) - a)) < 1e-12
     assert np.max(np.abs(partial_trace(prod, "second") / np.trace(a) - b)) < 1e-12
 

@@ -83,6 +83,27 @@ def test_steering_operator_lambda_entries():
     assert abs(op[0, 3] - rho.rho14 / SQRT3) < 1e-14
 
 
+def test_steering_matches_its_operator_oracle():
+    """``steering`` equals the entanglement test on ``steering_operator`` in
+    each direction, and is positive exactly where the operator's partial
+    transpose has a negative eigenvalue."""
+    for ch in CHANNELS.values():
+        for i in range(61):
+            rho0 = density_matrix(ch, i * math.pi / 60.0)
+            for j in range(41):
+                rho = dephase(rho0, j / 40.0)
+                res = steering(rho)
+                for direction, s in (("ab", res.s_ab), ("ba", res.s_ba)):
+                    t = steering_operator(rho, direction)
+                    branches = (
+                        abs(t[0, 3]) ** 2 - (t[1, 1] * t[2, 2]).real,
+                        abs(t[1, 2]) ** 2 - (t[0, 0] * t[3, 3]).real,
+                    )
+                    assert abs(max(0.0, 8.0 * SQRT3 * max(branches)) - s) <= 1e-14
+                    t_pt = t.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+                    assert (np.linalg.eigvalsh(t_pt).min() < 0.0) == (s > 0.0)
+
+
 def test_steering_bounds_lambda_half_pi():
     corner, bias, inner = steering_bounds(density_matrix(LAMBDA, HALF_PI))
     a, b = 0.13125, 0.36875

@@ -30,7 +30,7 @@ from hyperspin import (
 )
 from hyperspin.channel import ChannelConfig
 from hyperspin.selfcheck import _suite_sweep_oracle
-from hyperspin.sweep import CSV_HEADER, format_float
+from hyperspin.sweep import CSV_HEADER, FLOAT_FORMAT
 
 HALF_PI = math.pi / 2.0
 
@@ -197,10 +197,10 @@ def test_emit_rejects_unknown_format():
 
 
 def test_float_rendering():
-    assert format_float(0.1) == "0.1"
-    assert format_float(1.0) == "1"
-    assert format_float(0.123456789012345) == "0.123456789012"
-    assert format_float(1e-30) == "1e-30"
+    assert FLOAT_FORMAT % 0.1 == "0.1"
+    assert FLOAT_FORMAT % 1.0 == "1"
+    assert FLOAT_FORMAT % 0.123456789012345 == "0.123456789012"
+    assert FLOAT_FORMAT % 1e-30 == "1e-30"
 
 
 def test_emit_json_round_trip():
