@@ -51,18 +51,20 @@ class ChannelConfig:
     mu: float
     tau: float
 
+    #: Decided once, from ``tau``, when the config is built.
+    regime: Regime = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if not 0.0 <= self.mu <= 1.0:
             raise DomainError(f"mu must be in [0, 1], got {self.mu}")
         if not 0.0 < self.tau < math.inf:
             raise DomainError(f"tau must be finite and > 0, got {self.tau}")
-
-    @property
-    def regime(self) -> Regime:
         x = 4.0 * self.tau - 1.0
         if abs(x) < BOUNDARY_ATOL:
-            return Regime.BOUNDARY
-        return Regime.NON_MARKOVIAN if x > 0 else Regime.MARKOVIAN
+            regime = Regime.BOUNDARY
+        else:
+            regime = Regime.NON_MARKOVIAN if x > 0 else Regime.MARKOVIAN
+        object.__setattr__(self, "regime", regime)
 
 
 @dataclass(frozen=True)

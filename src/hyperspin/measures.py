@@ -17,6 +17,7 @@ from typing import Literal
 
 import numpy as np
 
+from .channel import PROB_ATOL
 from .errors import DomainError
 from .linalg import Array, partial_trace
 from .production import DensityMatrix4, HyperonChannel, xstate_params
@@ -25,6 +26,9 @@ SQRT3 = math.sqrt(3.0)
 GQD_DENOMINATOR_ATOL = 1e-14
 #: Roundoff allowed outside [0, 1] for concurrence and [-1, 1] for Bloch components.
 DOMAIN_ATOL = 1e-12
+#: Zeroes the diagonal of a 4x4 matrix of moduli and keeps the rest exactly.
+_OFF_DIAGONAL = 1.0 - np.eye(4)
+_OFF_DIAGONAL.setflags(write=False)
 
 
 class SteeringClass(enum.Enum):
@@ -167,7 +171,7 @@ def concurrence(rho: DensityMatrix4) -> float:
 
 def concurrence_closed(ch: HyperonChannel, phi: float, eta: float) -> float:
     """Closed-form concurrence ``|eta * gamma2|`` straight from channel and angle."""
-    if not 0.0 <= eta <= 1.0 + 1e-12:
+    if not 0.0 <= eta <= 1.0 + PROB_ATOL:
         raise DomainError(f"eta must be in [0, 1], got {eta}")
     return abs(eta * xstate_params(ch, phi).gamma2)
 
@@ -239,9 +243,7 @@ def geometric_discord(rho: DensityMatrix4) -> float:
 
 def coherence_l1(rho: DensityMatrix4) -> float:
     """l1-norm of coherence: sum of the magnitudes of all off-diagonal entries."""
-    off = np.abs(rho.matrix)
-    np.fill_diagonal(off, 0.0)
-    return float(off.sum())
+    return float(np.add.reduce(np.abs(rho.matrix) * _OFF_DIAGONAL, axis=None))
 
 
 def measure_all(rho: DensityMatrix4, eta: float, kernel: float) -> MeasureRecord:

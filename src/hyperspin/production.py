@@ -22,8 +22,10 @@ eigensolver and is kept as a permanent cross-check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .errors import (
     NotXStateError,
     UnknownChannelError,
 )
-from .linalg import HERMITICITY_ATOL, Array, as_matrix
+from .linalg import HERMITICITY_ATOL, Array
 
 PHI_ATOL = 1e-12
 DISCRIMINANT_ATOL = 1e-12
@@ -115,33 +117,91 @@ class XStateParams:
         return (self.gamma1, self.gamma2, self.gamma3)
 
 
+# Row-major indices into the 16 entries of a 4x4 matrix: the pairs (i, j),
+# (j, i) with i <= j whose Hermiticity is checked, and the off-X slots.
+_HERMITIAN_PAIRS = tuple((4 * i + j, 4 * j + i) for i in range(4) for j in range(i, 4))
+_OFF_X_INDICES = tuple(4 * i + j for i, j in OFF_X_SLOTS)
+
+
+def _max_modulus(values: Iterable[complex]) -> float:
+    """The largest ``abs`` of ``values``; inf where a modulus exceeds the float
+    range, as numpy gives, where Python's ``abs`` raises ``OverflowError``."""
+    try:
+        return max(map(abs, values))
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class DensityMatrix4:
-    """4x4 Hermitian unit-trace positive X-shaped density matrix."""
+    """4x4 Hermitian unit-trace positive X-shaped density matrix.
+
+    ``matrix`` is a read-only complex array.  The six X entries are cached
+    as Python numbers read off it: ``rho11``..``rho44`` are the real parts
+    of the diagonal (``float``), ``rho14`` and ``rho23`` the upper
+    anti-diagonal entries (``complex``); each equals the matching entry of
+    ``matrix`` bit for bit.  The validated constructor copies its input and
+    checks it; ``_trusted`` wraps an array unchecked, so its callers must
+    guarantee every invariant and must not keep a writable reference.
+    """
 
     matrix: Array = field(repr=False)
+    rho11: float = field(init=False, repr=False, compare=False)
+    rho22: float = field(init=False, repr=False, compare=False)
+    rho33: float = field(init=False, repr=False, compare=False)
+    rho44: float = field(init=False, repr=False, compare=False)
+    rho14: complex = field(init=False, repr=False, compare=False)
+    rho23: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = as_matrix(self.matrix, 4).copy()
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise DomainError("density matrix must be Hermitian within 1e-10")
-        if abs(m.trace() - 1.0) > TRACE_ATOL:
-            raise DomainError(f"density matrix trace must be 1, got {m.trace():.12g}")
-        for i, j in OFF_X_SLOTS:
-            if abs(m[i, j]) > XSHAPE_ATOL:
-                raise NotXStateError(
-                    f"entry ({i},{j}) = {m[i, j]:.3e} breaks the X pattern"
-                )
+        self._validate(np.array(self.matrix, dtype=complex))
+
+    def _validate(self, m: Array) -> None:
+        """Check ``m``, an array no caller holds, in Python arithmetic on its
+        entries, then adopt it; the checks and messages mirror numpy's."""
+        if m.shape != (4, 4):
+            raise DomainError(f"expected a 4x4 matrix, got shape {m.shape}")
+        e = m.ravel().tolist()
+        if not all(map(cmath.isfinite, e)):
+            raise DomainError("matrix entries must be finite")
+        deviations = [e[k] - e[l].conjugate() for k, l in _HERMITIAN_PAIRS]
+        if _max_modulus(deviations) > HERMITICITY_ATOL:
+            raise DomainError(f"density matrix must be Hermitian within {HERMITICITY_ATOL:g}")
+        # numpy's pairwise order for the trace of a 4x4 complex matrix.
+        trace = (e[0] + e[5]) + (e[10] + e[15])
+        if abs(trace - 1.0) > TRACE_ATOL:
+            raise DomainError(f"density matrix trace must be 1, got {trace:.12g}")
+        if _max_modulus([e[k] for k in _OFF_X_INDICES]) > XSHAPE_ATOL:
+            for (i, j), k in zip(OFF_X_SLOTS, _OFF_X_INDICES):
+                if _max_modulus((e[k],)) > XSHAPE_ATOL:
+                    raise NotXStateError(f"entry ({i},{j}) = {e[k]:.3e} breaks the X pattern")
         # PSD of an X matrix reduces to its two 2x2 blocks.
-        for a, d, w in (
-            (m[0, 0].real, m[3, 3].real, m[0, 3]),
-            (m[1, 1].real, m[2, 2].real, m[1, 2]),
-        ):
-            lo = 0.5 * (a + d) - math.hypot(0.5 * (a - d), abs(w))
+        for a, d, w in ((e[0].real, e[15].real, e[3]), (e[5].real, e[10].real, e[6])):
+            lo = 0.5 * (a + d) - math.hypot(0.5 * (a - d), _max_modulus((w,)))
             if lo < -PSD_ATOL:
                 raise DomainError(f"density matrix has eigenvalue {lo:.3e} < 0")
+        self._adopt(m, e)
+
+    def _adopt(self, m: Array, e: list[complex]) -> None:
+        """Freeze ``m`` and cache its X entries from ``e``, its row-major entries."""
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        # Written to the instance dict, which the frozen dataclass leaves
+        # open: cheaper than seven object.__setattr__ calls.
+        d = self.__dict__
+        d["matrix"] = m
+        d["rho11"] = e[0].real
+        d["rho22"] = e[5].real
+        d["rho33"] = e[10].real
+        d["rho44"] = e[15].real
+        d["rho14"] = e[3]
+        d["rho23"] = e[6]
+
+    @classmethod
+    def _owned(cls, matrix: Array) -> "DensityMatrix4":
+        """Validate and wrap a complex 4x4 array built for this state, uncopied."""
+        obj = object.__new__(cls)
+        obj._validate(matrix)
+        return obj
 
     @classmethod
     def _trusted(cls, matrix: Array) -> "DensityMatrix4":
@@ -149,37 +209,13 @@ class DensityMatrix4:
 
         Only for internal transforms that provably preserve every invariant
         (e.g. scaling the anti-diagonal by eta in [0, 1]); arbitrary input
-        must go through the normal constructor.
+        must go through the normal constructor.  ``matrix`` must be a complex
+        4x4 array that no one writes to afterwards; the X entries are read
+        off it.
         """
         obj = object.__new__(cls)
-        matrix.setflags(write=False)
-        object.__setattr__(obj, "matrix", matrix)
+        obj._adopt(matrix, matrix.ravel().tolist())
         return obj
-
-    # 1-based entry accessors matching the X layout.
-    @property
-    def rho11(self) -> float:
-        return self.matrix[0, 0].real
-
-    @property
-    def rho22(self) -> float:
-        return self.matrix[1, 1].real
-
-    @property
-    def rho33(self) -> float:
-        return self.matrix[2, 2].real
-
-    @property
-    def rho44(self) -> float:
-        return self.matrix[3, 3].real
-
-    @property
-    def rho14(self) -> complex:
-        return complex(self.matrix[0, 3])
-
-    @property
-    def rho23(self) -> complex:
-        return complex(self.matrix[1, 2])
 
 
 def _check_phi(phi: float) -> float:
@@ -200,13 +236,17 @@ def _denominator(ch: HyperonChannel, phi: float) -> float:
 def polarization(ch: HyperonChannel, phi: float) -> float:
     """Transverse polarization of either baryon, normal to the production plane."""
     phi = _check_phi(phi)
+    return _polarization(ch, phi, _denominator(ch, phi))
+
+
+def _polarization(ch: HyperonChannel, phi: float, den: float) -> float:
     num = (
         math.sqrt(1.0 - ch.upsilon_psi**2)
         * math.sin(ch.delta_theta)
         * math.sin(phi)
         * math.cos(phi)
     )
-    return num / _denominator(ch, phi)
+    return num / den
 
 
 def phi_matrix(ch: HyperonChannel, phi: float) -> Array:
@@ -262,7 +302,7 @@ def xstate_params(ch: HyperonChannel, phi: float) -> XStateParams:
     g1 = (1.0 + u + root) / (2.0 * den)
     g2 = (1.0 + u - root) / (2.0 * den)
     g3 = -u * math.sin(phi) ** 2 / den
-    return XStateParams(polarization(ch, phi), g1, g2, g3)
+    return XStateParams(_polarization(ch, phi, den), g1, g2, g3)
 
 
 def numeric_xstate_params(ch: HyperonChannel, phi: float) -> XStateParams:
@@ -289,7 +329,7 @@ def density_matrix(ch: HyperonChannel, phi: float) -> DensityMatrix4:
     phi = _check_phi(phi)
     u = ch.upsilon_psi
     den = _denominator(ch, phi)
-    p_y = polarization(ch, phi)
+    p_y = _polarization(ch, phi, den)
     g3 = -u * math.sin(phi) ** 2 / den
     r11 = 0.25 * (1.0 + 2.0 * p_y + g3)
     r44 = 0.25 * (1.0 - 2.0 * p_y + g3)
@@ -304,4 +344,4 @@ def density_matrix(ch: HyperonChannel, phi: float) -> DensityMatrix4:
     m[2, 1] = r22
     m[0, 3] = r14
     m[3, 0] = r14
-    return DensityMatrix4(m)
+    return DensityMatrix4._owned(m)

@@ -53,7 +53,7 @@ from .measures import (
     measure_all,
     steering_bounds,
 )
-from .production import DensityMatrix4, channel_params, density_matrix
+from .production import PHI_ATOL, DensityMatrix4, channel_params, density_matrix
 
 KERNEL_VARIANT = "telegraph-paired-cos-sin/cosh-sinh-u-over-v"
 
@@ -104,6 +104,12 @@ MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 #: Rows evaluated and rendered per chunk; bounds the numpy temporaries.
 _CHUNK_ROWS = 1 << 14
 
+#: Most points one axis may have and most rows one sweep may have, checked
+#: before anything is allocated: about 20x the largest preset (h2b, 505,101
+#: rows).  At the cap the measure columns alone take 570 MB (57 bytes per
+#: row).  Change it by assigning ``hyperspin.sweep.MAX_ROWS``.
+MAX_ROWS = 10_000_000
+
 #: Steering classes indexed by the code ``(s_ab > 0) + 2 * (s_ba > 0)``.
 _STEERING_CLASSES = (
     SteeringClass.NO_WAY,
@@ -131,7 +137,13 @@ def check_range(axis: str, start: float, stop: float, step: float) -> int:
         raise DomainError(f"{axis} step must be > 0, got {step}")
     if stop < start:
         raise DomainError(f"{axis} stop must be >= start")
-    return int(math.floor((stop - start) / step + 1e-9)) + 1
+    # Compared as a float first: the quotient may be too large (or inf) for int.
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_ROWS:
+        raise DomainError(
+            f"{axis} range has about {steps + 1:.3g} points, more than MAX_ROWS = {MAX_ROWS}"
+        )
+    return int(math.floor(steps)) + 1
 
 
 @dataclass(frozen=True)
@@ -170,7 +182,7 @@ class SweepGrid:
             if len(values) == 0:
                 raise DomainError(f"{name} list must be non-empty")
         for p in self.phi:
-            if not -1e-12 <= p <= math.pi + 1e-12:
+            if not -PHI_ATOL <= p <= math.pi + PHI_ATOL:
                 raise DomainError(f"phi value {p} outside [0, pi]")
         for m in self.mu:
             if not 0.0 <= m <= 1.0:
@@ -272,7 +284,7 @@ def _binary_entropy(x: np.ndarray) -> np.ndarray:
 _STATE_FIELDS = ("r14", "r23", "corner", "bias", "inner", "r30sq", "r33sq", "bloch_bad")
 
 
-def _state_constants(states: Sequence[DensityMatrix4]) -> dict[str, np.ndarray]:
+def _state_constants(states: Iterable[DensityMatrix4]) -> dict[str, np.ndarray]:
     """Everything the measures take from a state besides eta, one entry per phi.
 
     Dephasing scales the anti-diagonal ``r14`` and ``r23`` (real for the
@@ -442,7 +454,8 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     first such row in grid order is the one reported.
     """
     ch = channel_params(grid.channel)
-    states = [density_matrix(ch, p) for p in grid.phi]
+    # One state at a time: only its constants are kept.
+    constants = _state_constants(density_matrix(ch, p) for p in grid.phi)
     times = grid.time.values()
     kernel = []
     regimes = []
@@ -459,7 +472,6 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     eta = (k2 + (1.0 - k2) * np.array(grid.mu)[:, None]).ravel()
     eta_bad = ~((0.0 <= eta) & (eta <= 1.0 + PROB_ATOL))
 
-    constants = _state_constants(states)
     n_rows, n_point = len(grid), eta.size
     measures = {
         name: np.empty(n_rows, np.int8 if kind is str else float)
@@ -474,7 +486,7 @@ def _evaluate(grid: SweepGrid) -> _Columns:
         bad |= eta_bad[i_point]
         if bad.any():
             row = int(rows[bad.argmax()])
-            _raise_at(grid, states, times, kernel, eta, row)
+            _raise_at(grid, times, kernel, eta, row)
         for name, col in chunk.items():
             measures[name][start : start + rows.size] = col
     return _Columns(grid, regimes, np.array(times), k, eta, measures)
@@ -482,7 +494,6 @@ def _evaluate(grid: SweepGrid) -> _Columns:
 
 def _raise_at(
     grid: SweepGrid,
-    states: Sequence[DensityMatrix4],
     times: Sequence[float],
     kernel: Sequence[float],
     eta: np.ndarray,
@@ -493,8 +504,9 @@ def _raise_at(
     i_phi, i_mu, i_tau, i_time = (int(i) for i in np.unravel_index(row, shape))
     e = float(eta[row % eta.size])
     k = kernel[i_tau * len(times) + i_time]
+    rho0 = density_matrix(channel_params(grid.channel), grid.phi[i_phi])
     try:
-        measure_all(dephase(states[i_phi], e), e, k)
+        measure_all(dephase(rho0, e), e, k)
     except HyperspinError as exc:
         raise _in_context(
             exc, grid.channel, grid.phi[i_phi], grid.mu[i_mu], grid.tau[i_tau], times[i_time]
@@ -582,6 +594,8 @@ def run_sweep(
         if name not in MEASURE_NAMES:
             raise DomainError(f"unknown measure {name!r}; known: {MEASURE_NAMES}")
     _check_workers(workers)
+    if len(grid) > MAX_ROWS:
+        raise DomainError(f"grid has {len(grid)} rows, more than MAX_ROWS = {MAX_ROWS}")
     columns = _evaluate(grid)
     spec = grid.spec()
     grid_hash = hashlib.sha256(

@@ -227,6 +227,9 @@ def test_check_corrupted_kernel_exits_3(monkeypatch, capsys):
         ("tau=-1:1:1", "tau value -1.0 must be finite and > 0"),
         ("mu=0.5:0.1:0.1", "mu stop must be >= start"),
         ("phi=0:1:-1", "phi step must be > 0"),
+        # Over the row cap: rejected before the axis is built.
+        ("phi=0:3:1e-9", "phi range has about 3e+09 points, more than MAX_ROWS"),
+        ("mu=0:1:5e-324", "mu range has about inf points, more than MAX_ROWS"),
     ],
 )
 def test_sweep_grid_errors_name_their_axis(grid, named, capsys):

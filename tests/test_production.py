@@ -7,11 +7,13 @@ from conftest import pauli_expectation, reconstruct_pre_swap, reconstruct_x_basi
 from hyperspin import (
     CHANNELS,
     DomainError,
+    HyperspinError,
     HyperonChannel,
     NotXStateError,
     UnknownChannelError,
     XStateParams,
     channel_params,
+    dephase,
     density_matrix,
     numeric_xstate_params,
     phi_matrix,
@@ -266,3 +268,111 @@ def test_degenerate_denominator_raises_domain_error():
         density_matrix(ch, 0.0)
     with pytest.raises(DomainError, match="degenerate denominator"):
         polarization(ch, math.pi)
+
+
+HUGE = 1.5e308 + 1.5e308j
+
+
+def _quarter(**entries):
+    """The maximally mixed state with entries ``eIJ=value`` overwritten."""
+    m = np.eye(4, dtype=complex) / 4.0
+    for key, value in entries.items():
+        m[int(key[1]), int(key[2])] = value
+    return m
+
+
+def _huge_corner():
+    m = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+    m[0, 3] = HUGE
+    m[3, 0] = HUGE.conjugate()
+    return m
+
+
+# Each invalid input with the exception class and message it raises; the
+# moduli past the float range must still end in these errors.
+BAD_STATES = {
+    "shape": (lambda: np.zeros((3, 3)), DomainError, "expected a 4x4 matrix, got shape (3, 3)"),
+    "nan": (lambda: _quarter(e22=complex(math.nan, 0.0)), DomainError,
+            "matrix entries must be finite"),
+    "inf_imag": (lambda: _quarter(e03=complex(0.0, math.inf)), DomainError,
+                 "matrix entries must be finite"),
+    "non_hermitian": (lambda: _quarter(e03=0.1, e30=0.2), DomainError,
+                      "density matrix must be Hermitian within 1e-10"),
+    "complex_diagonal": (lambda: _quarter(e11=0.25 + 1e-9j), DomainError,
+                         "density matrix must be Hermitian within 1e-10"),
+    "hermitian_overflow": (lambda: _quarter(e01=HUGE), DomainError,
+                           "density matrix must be Hermitian within 1e-10"),
+    "trace": (lambda: np.eye(4, dtype=complex), DomainError,
+              "density matrix trace must be 1, got 4+0j"),
+    "trace_near": (lambda: _quarter() * 1.001, DomainError,
+                   "density matrix trace must be 1, got 1.001+0j"),
+    "off_x": (lambda: _quarter(e01=0.2, e10=0.2), NotXStateError,
+              "entry (0,1) = 2.000e-01+0.000e+00j breaks the X pattern"),
+    "off_x_overflow": (lambda: _quarter(e01=HUGE, e10=HUGE.conjugate()), NotXStateError,
+                       "entry (0,1) = 1.500e+308+1.500e+308j breaks the X pattern"),
+    "negative_corner": (lambda: _quarter(e03=0.5, e30=0.5), DomainError,
+                        "density matrix has eigenvalue -2.500e-01 < 0"),
+    "negative_inner": (lambda: _quarter(e12=0.3j, e21=-0.3j), DomainError,
+                       "density matrix has eigenvalue -5.000e-02 < 0"),
+    "corner_overflow": (_huge_corner, DomainError, "density matrix has eigenvalue -inf < 0"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STATES))
+def test_density_matrix_rejects_with_class_and_message(case):
+    make, cls, message = BAD_STATES[case]
+    with pytest.raises(HyperspinError) as info:
+        DensityMatrix4(make())
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def assert_entries_cached(rho):
+    m = rho.matrix
+    for name, (i, j) in (("rho11", (0, 0)), ("rho22", (1, 1)), ("rho33", (2, 2)), ("rho44", (3, 3))):
+        value = getattr(rho, name)
+        assert isinstance(value, float), name
+        assert value.hex() == m[i, j].real.hex(), name
+    for name, (i, j) in (("rho14", (0, 3)), ("rho23", (1, 2))):
+        value = getattr(rho, name)
+        assert isinstance(value, complex), name
+        assert _bits(value) == _bits(m[i, j]), name
+    assert not m.flags.writeable
+
+
+def _complex_x_states():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        diag = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
+        w = math.sqrt(diag[0] * diag[3]) * rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(-3, 3))
+        z = math.sqrt(diag[1] * diag[2]) * rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(-3, 3))
+        m = np.diag(diag).astype(complex)
+        m[0, 3], m[3, 0] = w, np.conj(w)
+        m[1, 2], m[2, 1] = z, np.conj(z)
+        yield m
+
+
+def test_entries_cached_after_validated_constructor():
+    for ch in CHANNELS.values():
+        for phi in (0.0, 0.4, HALF_PI, 2.7, math.pi):
+            assert_entries_cached(density_matrix(ch, phi))
+    for m in _complex_x_states():
+        assert_entries_cached(DensityMatrix4(m))
+        assert_entries_cached(DensityMatrix4(m.tolist()))
+
+
+def test_entries_cached_after_trusted_and_dephase():
+    states = [density_matrix(ch, 1.1) for ch in CHANNELS.values()]
+    states += [DensityMatrix4(m) for m in _complex_x_states()]
+    for rho in states:
+        assert_entries_cached(DensityMatrix4._trusted(rho.matrix.copy()))
+        for eta in (0.0, 0.37, 1.0):
+            out = dephase(rho, eta)
+            assert_entries_cached(out)
+            assert out.rho11 == rho.rho11 and out.rho44 == rho.rho44
+            assert _bits(out.rho14) == _bits(rho.rho14 * eta)

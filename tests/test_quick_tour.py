@@ -1,0 +1,58 @@
+"""Golden digest of the scalar single-point path, the README quick tour.
+
+``density_matrix -> evolve -> measure_all`` is what a caller evaluating one
+point at a time runs, and it is the oracle the sweep engine is checked
+against; this pins its rendered bytes on a fixed seeded block of points.
+"""
+
+import hashlib
+import math
+import random
+
+from hyperspin import (
+    CHANNELS,
+    ChannelConfig,
+    SweepRow,
+    channel_params,
+    decoherence_factor,
+    density_matrix,
+    evolve,
+    measure_all,
+    memory_kernel,
+)
+
+QUICK_TOUR_SHA256 = "1b791503e78158d5dfaac54234b4515e64a29327e66b20bec8f42e2d7ac234d6"
+
+
+def point_block(seed, n):
+    """``n`` points ``(channel, phi, mu, tau, time)``: all four channels, both
+    regimes and the ``4*tau = 1`` seam, the phi and mu endpoints, and times
+    far enough out for the overflow-safe kernel branch."""
+    rng = random.Random(seed)
+    names = sorted(CHANNELS)
+    out = []
+    for _ in range(n):
+        phi = rng.uniform(0.0, math.pi)
+        if rng.random() < 0.15:
+            phi = rng.choice((0.0, math.pi / 2.0, math.pi))
+        mu = rng.choice((0.0, 1.0, rng.random())) if rng.random() < 0.2 else rng.random()
+        tau = rng.choice((rng.uniform(0.01, 0.24), rng.uniform(0.26, 10.0)))
+        if rng.random() < 0.1:
+            tau = 0.25
+        t = rng.choice((rng.uniform(0.0, 2.0), rng.uniform(0.0, 50.0)))
+        out.append((rng.choice(names), phi, mu, tau, t))
+    return out
+
+
+def quick_tour_line(name, phi, mu, tau, t):
+    rho0 = density_matrix(channel_params(name), phi)
+    cfg = ChannelConfig(mu=mu, tau=tau)
+    rho_t = evolve(rho0, t, cfg)
+    record = measure_all(rho_t, decoherence_factor(t, cfg), memory_kernel(t, cfg).k)
+    return SweepRow(name, phi, mu, tau, cfg.regime.value, t, record).csv_line()
+
+
+def test_quick_tour_digest():
+    lines = [quick_tour_line(*p) for p in point_block(20251018, 1000)]
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+    assert digest == QUICK_TOUR_SHA256

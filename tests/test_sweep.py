@@ -343,3 +343,30 @@ def test_sweep_oracle_suite_passes_and_detects_a_mismatch(monkeypatch):
     monkeypatch.setattr(selfcheck_module, "measure_all", skewed)
     suite = _suite_sweep_oracle()
     assert suite.passed == 0 and suite.failed > 0
+
+
+def _no_evaluation(grid):
+    raise AssertionError("the grid was evaluated")
+
+
+def test_row_cap_rejects_before_allocating(monkeypatch):
+    monkeypatch.setattr(sweep_module, "_evaluate", _no_evaluation)
+    with pytest.raises(DomainError, match=r"time range has about 1e\+12 points"):
+        run_sweep(SweepGrid("lambda", (1.0,), (0.5,), (0.1,), TimeGrid(0.0, 1e6, 1e-6)))
+    # Every axis under the cap, their product over it: 181 * 101 * 1001 rows.
+    phis = tuple(k * math.pi / 180.0 for k in range(181))
+    mus = tuple(k / 100.0 for k in range(101))
+    grid = SweepGrid("lambda", phis, mus, (0.1,), TimeGrid(0.0, 10.0, 0.01))
+    with pytest.raises(DomainError, match="grid has 18299281 rows, more than MAX_ROWS"):
+        run_sweep(grid)
+
+
+def test_row_cap_is_the_module_constant(monkeypatch):
+    assert sweep_module.MAX_ROWS >= 10 * len(figure_preset("h2b").grid)
+    monkeypatch.setattr(sweep_module, "MAX_ROWS", 10)
+    assert len(TimeGrid(0.0, 9.0, 1.0)) == 10
+    with pytest.raises(DomainError, match="MAX_ROWS = 10"):
+        TimeGrid(0.0, 10.0, 1.0)
+    with pytest.raises(DomainError, match="grid has 20 rows"):
+        run_sweep(SweepGrid("lambda", (0.5, 1.0), (0.5,), (0.1,), TimeGrid(0.0, 9.0, 1.0)))
+    assert len(run_sweep(SweepGrid("lambda", (0.5,), (0.5,), (0.1,), TimeGrid(0.0, 9.0, 1.0)))) == 10
