@@ -195,11 +195,16 @@ def dephase(rho: DensityMatrix4, eta: float) -> DensityMatrix4:
     """Scale the two anti-diagonal entries of an X state by ``eta``.
 
     Every density-matrix invariant survives this map for eta in [0, 1]
-    (the block determinants only grow), so the result is wrapped without
-    re-validation.
+    (the block determinants only grow), so the result is built without
+    re-validation: from the scaled entries for a state built from its
+    entries, from a scaled copy of ``matrix`` for a caller's matrix.
     """
     if not 0.0 <= eta <= 1.0 + PROB_ATOL:
         raise DomainError(f"eta must be in [0, 1], got {eta}")
+    if rho._from_entries:
+        return DensityMatrix4._of_entries(
+            rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14 * eta, rho.rho23 * eta
+        )
     m = rho.matrix.copy()
     for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
         m[i, j] *= eta

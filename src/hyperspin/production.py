@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -132,29 +133,75 @@ def _max_modulus(values: Iterable[complex]) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or inf past the float range, as ``_max_modulus``."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _check_trace(trace: complex) -> None:
+    if abs(trace - 1.0) > TRACE_ATOL:
+        raise DomainError(f"density matrix trace must be 1, got {complex(trace):.12g}")
+
+
+def _check_blocks(
+    r11: float, r22: float, r33: float, r44: float, r14: complex, r23: complex
+) -> None:
+    # PSD of an X matrix reduces to its two 2x2 blocks.
+    for a, d, w in ((r11, r44, r14), (r22, r33, r23)):
+        lo = 0.5 * (a + d) - math.hypot(0.5 * (a - d), _modulus(w))
+        if lo < -PSD_ATOL:
+            raise DomainError(f"density matrix has eigenvalue {lo:.3e} < 0")
+
+
 class DensityMatrix4:
     """4x4 Hermitian unit-trace positive X-shaped density matrix.
 
-    ``matrix`` is a read-only complex array.  The six X entries are cached
-    as Python numbers read off it: ``rho11``..``rho44`` are the real parts
-    of the diagonal (``float``), ``rho14`` and ``rho23`` the upper
-    anti-diagonal entries (``complex``); each equals the matching entry of
-    ``matrix`` bit for bit.  The validated constructor copies its input and
-    checks it; ``_trusted`` wraps an array unchecked, so its callers must
-    guarantee every invariant and must not keep a writable reference.
+    The six X entries are the state: ``rho11``..``rho44`` are the real
+    parts of the diagonal (``float``), ``rho14`` and ``rho23`` the upper
+    anti-diagonal entries (``complex``).  ``matrix``, the read-only complex
+    4x4 array, is derived from them and built on first read; only the
+    matrix oracles (``kraus_apply``, ``steering_operator``, the self-check)
+    read it.
+
+    States from ``density_matrix`` and ``dephase`` are built from their
+    entries (``_of_entries``).  Their anti-diagonal entries are real, each
+    its own conjugate, so ``matrix`` is Hermitian and zero off the X by
+    construction.  A caller's matrix goes through the validated constructor,
+    which copies and checks it: off-X entries within ``XSHAPE_ATOL`` and a
+    lower anti-diagonal that conjugates the upper within
+    ``HERMITICITY_ATOL`` pass.  Its ``matrix`` stays those values and its
+    entries are read off it, each equal to the matching entry bit for bit.
+    ``_trusted`` wraps an array unchecked, so its callers must guarantee
+    every invariant and must not keep a writable reference.  Instances are
+    immutable.
     """
 
-    matrix: Array = field(repr=False)
-    rho11: float = field(init=False, repr=False, compare=False)
-    rho22: float = field(init=False, repr=False, compare=False)
-    rho33: float = field(init=False, repr=False, compare=False)
-    rho44: float = field(init=False, repr=False, compare=False)
-    rho14: complex = field(init=False, repr=False, compare=False)
-    rho23: complex = field(init=False, repr=False, compare=False)
+    rho11: float
+    rho22: float
+    rho33: float
+    rho44: float
+    rho14: complex
+    rho23: complex
+    #: True when the six entries are the whole state (built by ``_of_entries``).
+    _from_entries: bool
 
-    def __post_init__(self) -> None:
-        self._validate(np.array(self.matrix, dtype=complex))
+    def __init__(self, matrix: Any) -> None:
+        try:
+            m = np.array(matrix, dtype=complex)
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"expected a 4x4 matrix, got a non-numeric or ragged {type(matrix).__name__}"
+            ) from None
+        self._validate(m)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _validate(self, m: Array) -> None:
         """Check ``m``, an array no caller holds, in Python arithmetic on its
@@ -168,25 +215,18 @@ class DensityMatrix4:
         if _max_modulus(deviations) > HERMITICITY_ATOL:
             raise DomainError(f"density matrix must be Hermitian within {HERMITICITY_ATOL:g}")
         # numpy's pairwise order for the trace of a 4x4 complex matrix.
-        trace = (e[0] + e[5]) + (e[10] + e[15])
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise DomainError(f"density matrix trace must be 1, got {trace:.12g}")
+        _check_trace((e[0] + e[5]) + (e[10] + e[15]))
         if _max_modulus([e[k] for k in _OFF_X_INDICES]) > XSHAPE_ATOL:
             for (i, j), k in zip(OFF_X_SLOTS, _OFF_X_INDICES):
-                if _max_modulus((e[k],)) > XSHAPE_ATOL:
+                if _modulus(e[k]) > XSHAPE_ATOL:
                     raise NotXStateError(f"entry ({i},{j}) = {e[k]:.3e} breaks the X pattern")
-        # PSD of an X matrix reduces to its two 2x2 blocks.
-        for a, d, w in ((e[0].real, e[15].real, e[3]), (e[5].real, e[10].real, e[6])):
-            lo = 0.5 * (a + d) - math.hypot(0.5 * (a - d), _max_modulus((w,)))
-            if lo < -PSD_ATOL:
-                raise DomainError(f"density matrix has eigenvalue {lo:.3e} < 0")
+        _check_blocks(e[0].real, e[5].real, e[10].real, e[15].real, e[3], e[6])
         self._adopt(m, e)
 
     def _adopt(self, m: Array, e: list[complex]) -> None:
         """Freeze ``m`` and cache its X entries from ``e``, its row-major entries."""
         m.setflags(write=False)
-        # Written to the instance dict, which the frozen dataclass leaves
-        # open: cheaper than seven object.__setattr__ calls.
+        # Written to the instance dict, past the immutability guard.
         d = self.__dict__
         d["matrix"] = m
         d["rho11"] = e[0].real
@@ -195,13 +235,42 @@ class DensityMatrix4:
         d["rho44"] = e[15].real
         d["rho14"] = e[3]
         d["rho23"] = e[6]
+        d["_from_entries"] = False
 
     @classmethod
-    def _owned(cls, matrix: Array) -> "DensityMatrix4":
-        """Validate and wrap a complex 4x4 array built for this state, uncopied."""
+    def _of_entries(
+        cls, r11: float, r22: float, r33: float, r44: float, r14: complex, r23: complex
+    ) -> "DensityMatrix4":
+        """The state with these X entries, unchecked.
+
+        ``r14`` and ``r23`` must be real-valued ``complex`` numbers; the
+        caller guarantees the trace and positivity (``_checked_entries``
+        checks them).
+        """
         obj = object.__new__(cls)
-        obj._validate(matrix)
+        d = obj.__dict__
+        d["rho11"] = r11
+        d["rho22"] = r22
+        d["rho33"] = r33
+        d["rho44"] = r44
+        d["rho14"] = r14
+        d["rho23"] = r23
+        d["_from_entries"] = True
         return obj
+
+    @classmethod
+    def _checked_entries(
+        cls, r11: float, r22: float, r33: float, r44: float, r14: complex, r23: complex
+    ) -> "DensityMatrix4":
+        """``_of_entries`` after the finite, trace and positivity checks of the
+        validated constructor, with the same errors; the other checks hold
+        by construction."""
+        if not all(map(cmath.isfinite, (r11, r22, r33, r44, r14, r23))):
+            raise DomainError("matrix entries must be finite")
+        # numpy's pairwise order, as for a matrix.
+        _check_trace((r11 + r22) + (r33 + r44))
+        _check_blocks(r11, r22, r33, r44, r14, r23)
+        return cls._of_entries(r11, r22, r33, r44, r14, r23)
 
     @classmethod
     def _trusted(cls, matrix: Array) -> "DensityMatrix4":
@@ -216,6 +285,20 @@ class DensityMatrix4:
         obj = object.__new__(cls)
         obj._adopt(matrix, matrix.ravel().tolist())
         return obj
+
+    @cached_property
+    def matrix(self) -> Array:
+        """The state as a read-only complex 4x4 array in the sigma_z product basis."""
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0] = self.rho11
+        m[1, 1] = self.rho22
+        m[2, 2] = self.rho33
+        m[3, 3] = self.rho44
+        # Real entries: each is its own conjugate.
+        m[0, 3] = m[3, 0] = self.rho14
+        m[1, 2] = m[2, 1] = self.rho23
+        m.setflags(write=False)
+        return m
 
 
 def _check_phi(phi: float) -> float:
@@ -335,13 +418,4 @@ def density_matrix(ch: HyperonChannel, phi: float) -> DensityMatrix4:
     r44 = 0.25 * (1.0 - 2.0 * p_y + g3)
     r22 = (1.0 + u) / (4.0 * den)
     r14 = math.sqrt(_radicand(ch, phi)) / (4.0 * den)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = r11
-    m[3, 3] = r44
-    m[1, 1] = r22
-    m[2, 2] = r22
-    m[1, 2] = r22
-    m[2, 1] = r22
-    m[0, 3] = r14
-    m[3, 0] = r14
-    return DensityMatrix4._owned(m)
+    return DensityMatrix4._checked_entries(r11, r22, r22, r44, complex(r14), complex(r22))

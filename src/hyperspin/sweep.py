@@ -649,7 +649,8 @@ def _write(chunks: Iterable[str], fh: IO[str]) -> int:
     nbytes = 0
     for chunk in chunks:
         fh.write(chunk)
-        nbytes += len(chunk.encode("utf-8"))
+        # UTF-8 spends one byte per ASCII character; encode only the rest.
+        nbytes += len(chunk) if chunk.isascii() else len(chunk.encode("utf-8"))
     return nbytes
 
 

@@ -6,6 +6,7 @@ from conftest import pauli_expectation, reconstruct_pre_swap, reconstruct_x_basi
 
 from hyperspin import (
     CHANNELS,
+    coherence_l1,
     DomainError,
     HyperspinError,
     HyperonChannel,
@@ -21,6 +22,7 @@ from hyperspin import (
     xstate_params,
 )
 from hyperspin.production import DensityMatrix4
+from hyperspin.sweep import _PHI_FULL
 
 HALF_PI = math.pi / 2.0
 PHI_GRID = [k * math.pi / 200.0 for k in range(201)]
@@ -315,6 +317,10 @@ BAD_STATES = {
     "negative_inner": (lambda: _quarter(e12=0.3j, e21=-0.3j), DomainError,
                        "density matrix has eigenvalue -5.000e-02 < 0"),
     "corner_overflow": (_huge_corner, DomainError, "density matrix has eigenvalue -inf < 0"),
+    "ragged": (lambda: [[1, 2], [3]], DomainError,
+               "expected a 4x4 matrix, got a non-numeric or ragged list"),
+    "non_numeric": (lambda: "abc", DomainError,
+                    "expected a 4x4 matrix, got a non-numeric or ragged str"),
 }  # fmt: skip
 
 
@@ -376,3 +382,69 @@ def test_entries_cached_after_trusted_and_dephase():
             assert_entries_cached(out)
             assert out.rho11 == rho.rho11 and out.rho44 == rho.rho44
             assert _bits(out.rho14) == _bits(rho.rho14 * eta)
+
+
+def _eager_density_matrix(ch, phi):
+    """The production matrix as it was built before states were kept as
+    their six entries: one dense array, filled entry by entry."""
+    u = ch.upsilon_psi
+    den = 1.0 + u * math.cos(phi) ** 2
+    p_y = math.sqrt(1.0 - u**2) * math.sin(ch.delta_theta) * math.sin(phi) * math.cos(phi) / den
+    g3 = -u * math.sin(phi) ** 2 / den
+    rad = (1.0 + u * math.cos(2.0 * phi)) ** 2 - (1.0 - u**2) * math.sin(
+        ch.delta_theta
+    ) ** 2 * math.sin(2.0 * phi) ** 2
+    r11 = 0.25 * (1.0 + 2.0 * p_y + g3)
+    r44 = 0.25 * (1.0 - 2.0 * p_y + g3)
+    r22 = (1.0 + u) / (4.0 * den)
+    r14 = math.sqrt(max(rad, 0.0)) / (4.0 * den)
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = r11
+    m[3, 3] = r44
+    m[1, 1] = r22
+    m[2, 2] = r22
+    m[1, 2] = r22
+    m[2, 1] = r22
+    m[0, 3] = r14
+    m[3, 0] = r14
+    return m
+
+
+def _eager_dephase(m, eta):
+    m = m.copy()
+    for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
+        m[i, j] *= eta
+    return m
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_lazy_matrix_is_bit_identical_to_eager_construction():
+    for ch in CHANNELS.values():
+        for phi in sorted({0.0, HALF_PI, math.pi, *_PHI_FULL}):
+            rho = density_matrix(ch, phi)
+            want = _eager_density_matrix(ch, phi)
+            assert _same_bits(rho.matrix, want), (ch.name, phi)
+            assert not rho.matrix.flags.writeable
+            assert rho.matrix is rho.matrix
+            for eta in (0.0, 0.3, 1.0):
+                out = dephase(rho, eta)
+                got = coherence_l1(out)
+                assert _same_bits(out.matrix, _eager_dephase(want, eta))
+                assert got == float(np.add.reduce(np.abs(out.matrix) * (1.0 - np.eye(4)), axis=None))
+
+
+def test_caller_matrix_keeps_its_off_x_entries():
+    m = _quarter(e01=1e-13, e10=1e-13, e03=0.1, e30=0.1 + 1e-14j, e12=0.2j, e21=-0.2j)
+    rho = DensityMatrix4(m)
+    assert _same_bits(rho.matrix, m)
+    out = dephase(rho, 0.5)
+    assert _same_bits(out.matrix, _eager_dephase(m, 0.5))
+    assert out.matrix[0, 1] == 1e-13 and out.matrix[3, 0] == 0.05 + 5e-15j
+    # numpy's sum over the whole matrix, the 1e-13 entries included.
+    want = float(np.add.reduce(np.abs(out.matrix) * (1.0 - np.eye(4)), axis=None))
+    assert coherence_l1(out) == want
+    w, z = abs(out.rho14), abs(out.rho23)
+    assert want - ((z + w) + (w + z)) > 1.5e-13

@@ -9,6 +9,8 @@ import hashlib
 import math
 import random
 
+import pytest
+
 from hyperspin import (
     CHANNELS,
     ChannelConfig,
@@ -20,6 +22,7 @@ from hyperspin import (
     measure_all,
     memory_kernel,
 )
+from hyperspin.production import DensityMatrix4
 
 QUICK_TOUR_SHA256 = "1b791503e78158d5dfaac54234b4515e64a29327e66b20bec8f42e2d7ac234d6"
 
@@ -56,3 +59,14 @@ def test_quick_tour_digest():
     lines = [quick_tour_line(*p) for p in point_block(20251018, 1000)]
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
     assert digest == QUICK_TOUR_SHA256
+
+
+def test_quick_tour_never_builds_a_matrix(monkeypatch):
+    def no_matrix(rho):
+        raise AssertionError("the 4x4 matrix was built")
+
+    monkeypatch.setattr(DensityMatrix4, "matrix", property(no_matrix))
+    with pytest.raises(AssertionError, match="matrix was built"):
+        density_matrix(channel_params("lambda"), 1.0).matrix
+    for p in point_block(20251018, 200):
+        quick_tour_line(*p)

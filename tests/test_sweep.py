@@ -222,6 +222,22 @@ def test_emit_to_path(tmp_path):
     assert nbytes == len(target.read_bytes())
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_counts_the_bytes_it_writes(tmp_path, fmt):
+    computed = run_sweep(small_grid())
+    # Explicit rows whose channel takes two UTF-8 bytes per character in CSV
+    # (JSON escapes it).
+    renamed = SweepResult(
+        [dataclasses.replace(row, channel="ΛΛ̄") for row in computed.rows], computed.metadata
+    )
+    for result in (computed, renamed):
+        target = tmp_path / f"out.{fmt}"
+        nbytes = emit(result, fmt, target)
+        assert nbytes == target.stat().st_size
+    if fmt == "csv":
+        assert nbytes > len(target.read_text(encoding="utf-8"))
+
+
 def test_preset_run_is_deterministic():
     a, b = run_preset("m08"), run_preset("m08")
     sink_a, sink_b = io.StringIO(), io.StringIO()
