@@ -76,11 +76,27 @@ class KernelValue:
     v: float
 
 
+#: ``(t, cfg, value)`` of the last kernel ``memory_kernel`` computed for a
+#: ``float`` time and a ``ChannelConfig``; replaced as a whole, never edited.
+_last_kernel: tuple[float, ChannelConfig, KernelValue] | None = None
+
+
 def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
     """Ensemble-averaged telegraph dephasing kernel K(t).
 
     Guarantees K(0) = 1, dK/dt(0) = 0 and |K| <= 1.  Markovian decay is
     monotone; for 4*tau > 1 the kernel oscillates with period 2*pi/v.
+
+    A one-entry memo returns the last value again when it is asked for with
+    the very same ``t`` object (a ``float``) and the very same ``cfg``
+    object, as a caller does that evaluates one point through ``evolve``,
+    ``decoherence_factor`` and ``memory_kernel`` in turn.  Both objects are
+    immutable and the memo holds them, so neither can be changed or
+    recycled for another value while it is stored: a hit is the value a
+    fresh evaluation would give, bit for bit.  Any other time (an
+    ``np.float64``, a 0-d array) or config is evaluated afresh, a call that
+    raises stores nothing, and the entry is swapped whole, so a thread
+    never reads one half of another thread's entry.
 
     Raises
     ------
@@ -89,6 +105,10 @@ def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
     NegativeTimeError
         If ``t < 0``.
     """
+    global _last_kernel
+    last = _last_kernel
+    if last is not None and last[0] is t and last[1] is cfg:
+        return last[2]
     if not math.isfinite(t):
         raise DomainError(f"time must be finite, got {t}")
     if t < 0.0:
@@ -110,7 +130,10 @@ def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
         k = 0.5 * (1.0 + u / v) * math.exp((v - u) * t) + 0.5 * (1.0 - u / v) * math.exp(
             -(v + u) * t
         )
-    return KernelValue(k, u, v)
+    value = KernelValue(k, u, v)
+    if type(t) is float and type(cfg) is ChannelConfig:
+        _last_kernel = (t, cfg, value)
+    return value
 
 
 def flip_probability(kernel: KernelValue | float) -> float:

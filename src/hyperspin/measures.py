@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Any, Literal
 
 import numpy as np
 
@@ -63,9 +63,13 @@ class FanoBloch:
     r30: float
 
     def __post_init__(self) -> None:
-        for r in (self.r11, self.r22, self.r33, self.r03, self.r30):
-            if abs(r) > 1.0 + DOMAIN_ATOL:
-                raise DomainError(f"Bloch component {r} outside [-1, 1]")
+        _check_bloch((self.r11, self.r22, self.r33, self.r03, self.r30))
+
+
+def _check_bloch(components: tuple[float, ...]) -> None:
+    for r in components:
+        if abs(r) > 1.0 + DOMAIN_ATOL:
+            raise DomainError(f"Bloch component {r} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,13 @@ def steering_bounds(rho: DensityMatrix4) -> tuple[float, float, float]:
     inner branches, and the population-asymmetry term that splits the two
     steering directions.  Equal inner populations force the bias to zero.
     """
-    a, b, c, d = rho.rho11, rho.rho22, rho.rho33, rho.rho44
+    return _steering_bounds(rho.rho11, rho.rho22, rho.rho33, rho.rho44)
+
+
+def _steering_bounds(a: Any, b: Any, c: Any, d: Any) -> tuple[Any, Any, Any]:
+    """``steering_bounds`` of the populations ``a, b, c, d``: floats, or numpy
+    columns of them, which the same operations in the same order give bit
+    for bit."""
     shared = 0.25 * (a + d) * (b + c)
     corner = 0.5 * (2.0 - SQRT3) * a * d + 0.5 * (2.0 + SQRT3) * b * c + shared
     inner = 0.5 * (2.0 + SQRT3) * a * d + 0.5 * (2.0 - SQRT3) * b * c + shared
@@ -134,7 +144,7 @@ def steering(rho: DensityMatrix4) -> SteeringResult:
     corner/inner bounds, biased by the population-asymmetry term (minus for
     first-to-second, plus for the reverse).
     """
-    corner, bias, inner = steering_bounds(rho)
+    corner, bias, inner = _steering_bounds(rho.rho11, rho.rho22, rho.rho33, rho.rho44)
     w2 = abs(rho.rho14) ** 2
     z2 = abs(rho.rho23) ** 2
     scale = 8.0 / SQRT3
@@ -208,16 +218,18 @@ def fano_bloch(rho: DensityMatrix4) -> FanoBloch:
     two local-z components written out from their trace definitions
     ``tr[(sigma_0 (x) sigma_3) rho]`` and ``tr[(sigma_3 (x) sigma_0) rho]``.
     """
+    return FanoBloch(*_bloch_components(rho))
+
+
+def _bloch_components(rho: DensityMatrix4) -> tuple[float, float, float, float, float]:
+    """``(r11, r22, r33, r03, r30)`` of :func:`fano_bloch`, range-checked as
+    ``FanoBloch`` checks them."""
     a, b, c, d = rho.rho11, rho.rho22, rho.rho33, rho.rho44
     z = rho.rho23.real
     w = rho.rho14.real
-    return FanoBloch(
-        r11=2.0 * (z + w),
-        r22=2.0 * (z - w),
-        r33=1.0 - 2.0 * (b + c),
-        r03=a - b + c - d,
-        r30=a + b - c - d,
-    )
+    r = (2.0 * (z + w), 2.0 * (z - w), 1.0 - 2.0 * (b + c), a - b + c - d, a + b - c - d)
+    _check_bloch(r)
+    return r
 
 
 def geometric_discord(rho: DensityMatrix4) -> float:
@@ -229,11 +241,12 @@ def geometric_discord(rho: DensityMatrix4) -> float:
     components vanish with it (fully dephased axial states), so 0 is
     returned as the continuous limit.
     """
-    r = fano_bloch(rho)
-    r11sq = r.r11**2
-    r22sq = r.r22**2
-    rmax_sq = max(r22sq + r.r30**2, r.r33**2)
-    rmin_sq = min(r11sq, r.r33**2)
+    r11, r22, r33, _, r30 = _bloch_components(rho)
+    r11sq = r11**2
+    r22sq = r22**2
+    r33sq = r33**2
+    rmax_sq = max(r22sq + r30**2, r33sq)
+    rmin_sq = min(r11sq, r33sq)
     den = rmax_sq - rmin_sq + r11sq - r22sq
     if den < GQD_DENOMINATOR_ATOL:
         return 0.0

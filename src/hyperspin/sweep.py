@@ -50,8 +50,8 @@ from .measures import (
     MeasureRecord,
     SteeringClass,
     SteeringResult,
+    _steering_bounds,
     measure_all,
-    steering_bounds,
 )
 from .production import PHI_ATOL, DensityMatrix4, channel_params, density_matrix
 
@@ -292,17 +292,22 @@ def _state_constants(states: Iterable[DensityMatrix4]) -> dict[str, np.ndarray]:
     and the diagonal Fano-Bloch components are fixed per phi; ``bloch_bad``
     flags a state whose fixed components already fail the Fano-Bloch check.
     """
-    table = []
-    for rho in states:
-        a, b, c, d = rho.rho11, rho.rho22, rho.rho33, rho.rho44
-        r33 = 1.0 - 2.0 * (b + c)
-        r03 = a - b + c - d
-        r30 = a + b - c - d
-        bloch_bad = any(abs(r) > 1.0 + DOMAIN_ATOL for r in (r33, r03, r30))
-        table.append(
-            (rho.rho14.real, rho.rho23.real, *steering_bounds(rho), r30**2, r33**2, bloch_bad)
-        )
-    return {name: np.array(col) for name, col in zip(_STATE_FIELDS, zip(*table))}
+    entries = [
+        (rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14.real, rho.rho23.real)
+        for rho in states
+    ]
+    a, b, c, d, r14, r23 = map(np.array, zip(*entries))
+    r33 = 1.0 - 2.0 * (b + c)
+    r03 = a - b + c - d
+    r30 = a + b - c - d
+    corner, bias, inner = _steering_bounds(a, b, c, d)
+    bloch_bad = (
+        (np.abs(r33) > 1.0 + DOMAIN_ATOL)
+        | (np.abs(r03) > 1.0 + DOMAIN_ATOL)
+        | (np.abs(r30) > 1.0 + DOMAIN_ATOL)
+    )
+    columns = (r14, r23, corner, bias, inner, _square(r30), _square(r33), bloch_bad)
+    return dict(zip(_STATE_FIELDS, columns))
 
 
 def _measure_chunk(

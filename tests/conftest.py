@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
-from hyperspin import HyperonChannel, numeric_xstate_params, phi_matrix
+from hyperspin import HyperonChannel, channel, numeric_xstate_params, phi_matrix
 
 SIG = (
     np.eye(2, dtype=complex),
@@ -109,3 +110,18 @@ def threshold_bisect(pred, lo: float, hi: float, iters: int = 200) -> float:
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+@pytest.fixture
+def kernel_bodies(monkeypatch) -> list:
+    """Arguments of every ``KernelValue`` that ``memory_kernel`` builds from
+    here on: one per evaluation of the kernel body, none for a memo hit."""
+    built: list = []
+    real = channel.KernelValue
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(channel, "KernelValue", counting)
+    return built

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -306,3 +308,89 @@ def test_custom_channels_match_kraus_or_raise(upsilon, delta_theta, phi, mu, tau
     except HyperspinError:
         return
     assert np.max(np.abs(direct.matrix - via_kraus.matrix)) <= 1e-12
+
+
+def test_kernel_memo_equal_but_distinct_arguments():
+    t1 = 1.75
+    t2 = float("1.75")
+    assert t2 is not t1
+    cfg1 = ChannelConfig(mu=0.3, tau=0.7)
+    cfg2 = ChannelConfig(mu=0.3, tau=0.7)
+    other = ChannelConfig(mu=0.3, tau=0.1)
+    first = memory_kernel(t1, cfg1)
+    for t, cfg in ((t2, cfg2), (t1, cfg2), (t2, cfg1), (t1, cfg1)):
+        assert memory_kernel(t, cfg) == first
+    # The same time object under another config is that config's value.
+    assert memory_kernel(t1, other) == memory_kernel(float("1.75"), other) != first
+    assert memory_kernel(t1, cfg1) == first
+
+
+def test_kernel_memo_is_not_poisoned_by_a_raising_call():
+    cfg = ChannelConfig(mu=0.2, tau=5.0)
+    t = 0.8
+    good = memory_kernel(t, cfg)
+    for bad, error in ((-0.5, NegativeTimeError), (math.nan, DomainError), (math.inf, DomainError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                memory_kernel(bad, cfg)
+        assert memory_kernel(t, cfg) == good
+        assert memory_kernel(float("0.8"), cfg) == good
+
+
+def test_kernel_memo_recomputes_numpy_times(kernel_bodies):
+    cfg = ChannelConfig(mu=0.5, tau=0.1)
+    t64 = np.float64(1.5)
+    assert memory_kernel(t64, cfg) == memory_kernel(t64, cfg)
+    assert len(kernel_bodies) == 2
+    # A 0-d array is mutable: a memo keyed on it would return a stale value.
+    t0d = np.array(1.5)
+    before = memory_kernel(t0d, cfg).k
+    t0d[()] = 3.0
+    assert memory_kernel(t0d, cfg).k == memory_kernel(3.0, cfg).k != before
+    assert len(kernel_bodies) == 5
+    # A float time is memoized: its repeat builds nothing.
+    t = 2.5
+    memory_kernel(t, cfg)
+    memory_kernel(t, cfg)
+    assert len(kernel_bodies) == 6
+
+
+def test_kernel_memo_threads_match_a_serial_run():
+    configs = [ChannelConfig(mu=0.4, tau=tau) for tau in (0.1, 5.0)]
+    # Few time objects, asked for over and over, so threads collide on them.
+    times = [0.3 * i for i in range(1, 5)]
+    # Consecutive calls here never share a time object, so none is a memo hit.
+    serial = {
+        (i, j): memory_kernel(t, c).k for j, c in enumerate(configs) for i, t in enumerate(times)
+    }
+    n_threads = 4
+    passes = 5000
+    results = [[] for _ in range(n_threads)]
+    start = threading.Barrier(n_threads)
+
+    def work(slot):
+        # Threads of one parity ask for the same keys in the same order, the
+        # others for the other config at each time object; each key is asked
+        # for twice in a row, as a quick-tour point does.
+        out = results[slot]
+        start.wait(timeout=60.0)
+        for _ in range(passes):
+            for i, t in enumerate(times):
+                j = (i + slot) % 2
+                out.append(((i, j), memory_kernel(t, configs[j]).k, memory_kernel(t, configs[j]).k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for out in results:
+        assert len(out) == passes * len(times)
+        for key, first, second in out:
+            assert first == second == serial[key]

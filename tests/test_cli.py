@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperspin import KernelValue, cli, memory_kernel, selfcheck
 
@@ -299,3 +303,70 @@ def test_sweep_rejects_bad_threads_env_exits_1(threads):
     assert proc.returncode == 1
     assert "HYPERSPIN_THREADS" in proc.stderr
 
+
+
+#: Numbers at and past the float range, signed zero, subnormals, and text
+#: that is no number, drawn as often as ordinary values.  The smallest usable
+#: step is 0.2, so no grid they make has more than about 60,000 rows.
+FUZZ_VALUES = (
+    "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "-0", "5e-324", "-5e-324", "", "abc",
+)  # fmt: skip
+ORDINARY_VALUES = ("0", "0.2", "0.25", "0.5", "0.8", "1", "1.5", "2", "3.2", "5", "-1")
+fuzz_value = st.one_of(st.sampled_from(FUZZ_VALUES), st.sampled_from(ORDINARY_VALUES))
+fuzz_channel = st.sampled_from(("lambda", "xi-", "sigma+", "xi0", "bogus", ""))
+
+
+@st.composite
+def fuzz_option(draw, flag):
+    """``[flag, value]``, ``[flag=value]`` (so a leading ``-`` is a value), or rarely nothing."""
+    form = draw(st.sampled_from(("split", "joined", "joined", "joined", "absent")))
+    value = draw(fuzz_value)
+    return {"split": [flag, value], "joined": [f"{flag}={value}"], "absent": []}[form]
+
+
+@st.composite
+def measure_argv(draw):
+    argv = ["measure", f"--channel={draw(fuzz_channel)}"]
+    for flag in (draw(st.sampled_from(("--phi", "--phi-deg"))), "--mu", "--tau", "--time"):
+        argv += draw(fuzz_option(flag))
+    argv += draw(st.sampled_from(([], ["--format", "csv"], ["--format", "json"], ["--format=abc"])))
+    return argv
+
+
+@st.composite
+def sweep_grid_argv(draw):
+    argv = ["sweep", "--channel", draw(fuzz_channel)]
+    for axis in ("time", "phi", "mu", "tau"):
+        kind = draw(st.sampled_from(("grid",) * 4 + ("scalar",) * (axis != "time") * 3 + ("raw",)))
+        if kind == "grid":
+            # Mostly ordinary bounds, so that some grids get as far as evaluation.
+            bounds = st.one_of(fuzz_value, st.sampled_from(ORDINARY_VALUES))
+            start, stop, step = draw(bounds), draw(bounds), draw(bounds)
+            argv.append(f"--grid={axis}={start}:{stop}:{step}")
+        elif kind == "scalar":
+            argv += draw(fuzz_option(f"--{axis}"))
+        else:
+            argv.append(f"--grid={axis}={draw(fuzz_value)}")
+    return argv
+
+
+def exit_code_of(argv):
+    """``cli.main``'s exit code, argparse's usage exits included; anything
+    else escaping ``main`` fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=measure_argv())
+def test_fuzzed_measure_argv_exits_cleanly(argv):
+    assert exit_code_of(argv) in (0, 1, 2)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argv=sweep_grid_argv())
+def test_fuzzed_sweep_grid_argv_exits_cleanly(argv):
+    assert exit_code_of(argv) in (0, 1, 2)

@@ -283,6 +283,27 @@ def test_fano_bloch_matches_trace_definitions():
                 assert abs(r.r03 - r.r30) < 1e-12
 
 
+@pytest.mark.parametrize(
+    ("diagonal", "r14"),
+    [
+        # Both pass the constructor's positivity check within PSD_ATOL.
+        ((0.5, 0.0, 0.0, 0.5), 0.5 + 5e-10),
+        ((0.5 + 5e-10, -5e-10, 0.0, 0.5), 0.0),
+    ],
+    ids=["r11", "r33"],
+)
+def test_gqd_rejects_bloch_component_out_of_range_as_fano_bloch(diagonal, r14):
+    m = np.diag(diagonal).astype(complex)
+    m[0, 3] = m[3, 0] = r14
+    rho = DensityMatrix4(m)
+    with pytest.raises(DomainError) as from_fano_bloch:
+        fano_bloch(rho)
+    with pytest.raises(DomainError) as from_discord:
+        geometric_discord(rho)
+    assert str(from_discord.value) == str(from_fano_bloch.value)
+    assert str(from_discord.value).startswith("Bloch component 1.000000001 outside")
+
+
 def test_gqd_lambda_half_pi():
     assert abs(geometric_discord(density_matrix(LAMBDA, HALF_PI)) - 0.2375) < 1e-14
 

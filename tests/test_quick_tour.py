@@ -70,3 +70,11 @@ def test_quick_tour_never_builds_a_matrix(monkeypatch):
         density_matrix(channel_params("lambda"), 1.0).matrix
     for p in point_block(20251018, 200):
         quick_tour_line(*p)
+
+
+def test_quick_tour_evaluates_the_kernel_once_per_point(kernel_bodies):
+    # evolve, decoherence_factor and the record all ask for K(t); the last
+    # value is reused, so only the first of the three evaluates it.
+    for p in point_block(20251018, 200):
+        quick_tour_line(*p)
+    assert len(kernel_bodies) == 200
