@@ -59,6 +59,13 @@ class ChannelConfig:
             raise DomainError(f"mu must be in [0, 1], got {self.mu}")
         if not 0.0 < self.tau < math.inf:
             raise DomainError(f"tau must be finite and > 0, got {self.tau}")
+        u = 1.0 / (2.0 * self.tau)
+        if u * u == math.inf:
+            # The kernel squares u; past the float range K would be nan or inf.
+            raise DomainError(
+                f"tau is too small: (1/(2*tau))**2 overflows below about 3.73e-155, "
+                f"got {self.tau}"
+            )
         x = 4.0 * self.tau - 1.0
         if abs(x) < BOUNDARY_ATOL:
             regime = Regime.BOUNDARY
@@ -84,8 +91,10 @@ _last_kernel: tuple[float, ChannelConfig, KernelValue] | None = None
 def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
     """Ensemble-averaged telegraph dephasing kernel K(t).
 
-    Guarantees K(0) = 1, dK/dt(0) = 0 and |K| <= 1.  Markovian decay is
-    monotone; for 4*tau > 1 the kernel oscillates with period 2*pi/v.
+    Guarantees K(0) = 1, dK/dt(0) = 0 and |K| <= 1 (to roundoff) for every
+    tau that ``ChannelConfig`` accepts and every finite t >= 0; K is 0 where
+    t is so large that u*t overflows.  Markovian decay is monotone; for
+    4*tau > 1 the kernel oscillates with period 2*pi/v.
 
     A one-entry memo returns the last value again when it is asked for with
     the very same ``t`` object (a ``float``) and the very same ``cfg``
@@ -117,11 +126,14 @@ def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
     v = math.sqrt(abs(u * u - 1.0))
     damp = math.exp(-u * t)
     regime = cfg.regime
+    # Where u*t or v*t overflows, damp is already 0 (u >= v), so K is 0
+    # there rather than 0 * inf or cos(inf).
     if regime is Regime.BOUNDARY or v < KERNEL_LIMIT_V:
         # v -> 0 limit of either pairing; also used on the 4*tau = 1 seam.
-        k = damp * (1.0 + u * t)
+        k = damp * (1.0 + u * t) if damp else 0.0
     elif regime is Regime.NON_MARKOVIAN:
-        k = damp * (math.cos(v * t) + (u / v) * math.sin(v * t))
+        vt = v * t
+        k = damp * (math.cos(vt) + (u / v) * math.sin(vt)) if vt < math.inf else 0.0
     elif v * t < 30.0:
         k = damp * (math.cosh(v * t) + (u / v) * math.sinh(v * t))
     else:

@@ -55,16 +55,6 @@ def _resolve_phi(args: argparse.Namespace) -> float | None:
     return args.phi
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperspin",
@@ -102,11 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tau", type=float)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", help="output path (default stdout)")
-    p_sweep.add_argument(
-        "--workers",
-        type=_worker_count,
-        help="accepted for compatibility; evaluation is serial and output never depends on it",
-    )
 
     sub.add_parser("check", help="run the embedded invariant suite")
     return parser
@@ -198,9 +183,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.figure and any(x not in (None, []) for x in explicit):
         raise GridSyntaxError("--figure and explicit grid flags are mutually exclusive")
     if args.figure:
-        result = run_preset(args.figure, workers=args.workers)
+        result = run_preset(args.figure)
     else:
-        result = run_sweep(_sweep_grid_from_args(args), workers=args.workers)
+        result = run_sweep(_sweep_grid_from_args(args))
     sink = args.out if args.out else sys.stdout
     nbytes = emit(result, args.format, sink)
     target = args.out if args.out else "<stdout>"

@@ -21,9 +21,6 @@ rules keep them so:
 * squares use Python's ``**`` (libm ``pow``), which is not always ``x * x``;
 * Python's ``max`` and ``min`` become ``_pymax`` and ``_pymin``, which make
   the same choice between signed zeros, so a ``-0`` renders where it did.
-
-Evaluation is serial; ``workers`` and ``HYPERSPIN_THREADS`` are validated
-for compatibility and have no other effect.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ import hashlib
 import json
 import math
 import operator
-import os
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
@@ -567,22 +563,6 @@ class FigurePreset:
     measures: tuple[str, ...]
 
 
-def _check_workers(workers: int | None) -> None:
-    """Validate the worker count and ``HYPERSPIN_THREADS``; evaluation is
-    serial whatever they say, since columns leave no per-row Python work
-    that threads could share under the GIL."""
-    if workers is not None and not (isinstance(workers, int) and workers >= 1):
-        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
-    cap = os.environ.get("HYPERSPIN_THREADS")
-    if cap:
-        try:
-            ok = int(cap) >= 1
-        except ValueError:
-            ok = False
-        if not ok:
-            raise DomainError(f"HYPERSPIN_THREADS must be an integer >= 1, got {cap!r}")
-
-
 def run_sweep(
     grid: SweepGrid,
     measures: Sequence[str] | None = None,
@@ -592,13 +572,15 @@ def run_sweep(
 
     ``measures`` is a selector recorded in the metadata; every row always
     carries all measure fields (they share almost all of their arithmetic).
-    ``workers`` is validated and otherwise ignored.
+    ``workers`` must be an integer >= 1 and changes nothing: evaluation is
+    serial.
     """
     selected = tuple(measures) if measures is not None else MEASURE_NAMES
     for name in selected:
         if name not in MEASURE_NAMES:
             raise DomainError(f"unknown measure {name!r}; known: {MEASURE_NAMES}")
-    _check_workers(workers)
+    if workers is not None and not (isinstance(workers, int) and workers >= 1):
+        raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     if len(grid) > MAX_ROWS:
         raise DomainError(f"grid has {len(grid)} rows, more than MAX_ROWS = {MAX_ROWS}")
     columns = _evaluate(grid)

@@ -286,6 +286,37 @@ def test_config_rejects_non_finite_tau(tau):
         ChannelConfig(mu=0.5, tau=tau)
 
 
+@pytest.mark.parametrize("tau", [1e-160, 1e-300, 5e-324, 3.7e-155])
+def test_config_rejects_tau_whose_kernel_rate_overflows(tau):
+    with pytest.raises(DomainError, match="tau is too small"):
+        ChannelConfig(mu=0.5, tau=tau)
+
+
+#: Times up to the largest float, where u*t and v*t overflow.
+EDGE_TIMES = (0.0, 5e-324, 1.0, 1e300, 1e308, 1.7e308, 1.79e308, sys.float_info.max)
+
+
+def test_kernel_contract_holds_at_float_edges():
+    # Every tau ChannelConfig accepts, log-spaced from the subnormals to the
+    # largest float, and the taus whose kernels broke at huge t.
+    taus = [10.0 ** float(e) for e in np.arange(-323.0, 308.5, 0.5)]
+    taus += [3.73e-155, 0.25, 0.2500001, 0.25 - 1e-9, 0.3, 0.5, 1.79e308, sys.float_info.max]
+    accepted = 0
+    for tau in taus:
+        try:
+            cfg = ChannelConfig(mu=0.5, tau=tau)
+        except DomainError as exc:
+            assert "tau" in str(exc)
+            assert tau < 3.73e-155
+            continue
+        accepted += 1
+        assert memory_kernel(0.0, cfg).k == 1.0
+        for t in EDGE_TIMES:
+            k = memory_kernel(t, cfg).k
+            assert math.isfinite(k) and abs(k) <= 1.0 + 1e-15, (tau, t, k)
+    assert accepted > 900
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     upsilon=st.one_of(st.sampled_from([1.0, -1.0, -0.99, -0.98]), st.floats(-1.0, 1.0)),

@@ -282,36 +282,23 @@ def test_non_finite_input_exits_1_naming_it(args, named):
     assert "finite" in proc.stderr
 
 
-@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+@pytest.mark.parametrize("workers", ["0", "-3", "two", "1"])
 def test_sweep_rejects_bad_worker_count_exits_2(workers):
+    # Evaluation is serial; the flag is gone, whatever its value.
     proc = run_cli(*SWEEP_POINT, "--grid", "time=0:1:0.5", "--workers", workers)
     assert proc.returncode == 2
-    assert "--workers" in proc.stderr
+    assert "unrecognized arguments" in proc.stderr
 
 
-def test_sweep_worker_count_is_a_no_op():
-    serial = run_cli(*SWEEP_POINT, "--grid", "time=0:1:0.5", "--workers", "1")
-    wide = run_cli(*SWEEP_POINT, "--grid", "time=0:1:0.5", "--workers", "3")
-    assert serial.returncode == wide.returncode == 0
-    assert serial.stdout == wide.stdout
-
-
-@pytest.mark.parametrize("threads", ["0", "-1", "many"])
-def test_sweep_rejects_bad_threads_env_exits_1(threads):
-    proc = run_cli(*SWEEP_POINT, "--grid", "time=0:1:0.5",
-                   env_extra={"HYPERSPIN_THREADS": threads})
-    assert proc.returncode == 1
-    assert "HYPERSPIN_THREADS" in proc.stderr
-
-
-
-#: Numbers at and past the float range, signed zero, subnormals, and text
-#: that is no number, drawn as often as ordinary values.  The smallest usable
-#: step is 0.2, so no grid they make has more than about 60,000 rows.
+#: Numbers at and past the float range, taus too small for the kernel, signed
+#: zero, subnormals, and text that is no number, drawn as often as ordinary
+#: values.  The smallest usable step is 0.2, so no grid they make has more
+#: than about 60,000 rows.
 FUZZ_VALUES = (
     "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "-0", "5e-324", "-5e-324", "", "abc",
+    "1e308", "1.79e308", "1e-160", "1e-300",
 )  # fmt: skip
-ORDINARY_VALUES = ("0", "0.2", "0.25", "0.5", "0.8", "1", "1.5", "2", "3.2", "5", "-1")
+ORDINARY_VALUES = ("0", "0.2", "0.25", "0.3", "0.5", "0.8", "1", "1.5", "2", "3.2", "5", "-1")
 fuzz_value = st.one_of(st.sampled_from(FUZZ_VALUES), st.sampled_from(ORDINARY_VALUES))
 fuzz_channel = st.sampled_from(("lambda", "xi-", "sigma+", "xi0", "bogus", ""))
 
@@ -350,14 +337,20 @@ def sweep_grid_argv(draw):
     return argv
 
 
-def exit_code_of(argv):
-    """``cli.main``'s exit code, argparse's usage exits included; anything
-    else escaping ``main`` fails the test."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+def main_output(argv):
+    """``cli.main``'s exit code, argparse's usage exits included, with its
+    stdout and stderr; anything else escaping ``main`` fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return cli.main(argv)
+            code = cli.main(argv)
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def exit_code_of(argv):
+    return main_output(argv)[0]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -370,3 +363,35 @@ def test_fuzzed_measure_argv_exits_cleanly(argv):
 @given(argv=sweep_grid_argv())
 def test_fuzzed_sweep_grid_argv_exits_cleanly(argv):
     assert exit_code_of(argv) in (0, 1, 2)
+
+
+MEASURE_LAMBDA = ("measure", "--channel", "lambda", "--phi", "1", "--mu", "0.5")
+
+
+@pytest.mark.parametrize(
+    "tau, t",
+    [
+        ("0.2500001", "1.7e308"),  # v*t overflows: cos(inf)
+        ("0.3", "1.79e308"),
+        ("0.25", "1e308"),  # u*t overflows: 0 * inf on the boundary
+    ],
+)
+def test_measure_where_time_overflows_the_kernel_rates(tau, t):
+    code, out, err = main_output([*MEASURE_LAMBDA, "--tau", tau, "--time", t])
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["kernel"] == 0.0
+    assert record["eta"] == 0.5
+
+
+@pytest.mark.parametrize("command", ["measure", "sweep"])
+@pytest.mark.parametrize("tau", ["1e-160", "1e-300"])
+def test_tau_too_small_for_the_kernel_exits_1(command, tau):
+    if command == "measure":
+        argv = [*MEASURE_LAMBDA, "--tau", tau, "--time", "1"]
+    else:
+        argv = [*SWEEP_POINT[:-2], "--tau", tau, "--grid", "time=0:1:0.5"]
+    code, out, err = main_output(argv)
+    assert code == 1
+    assert out == ""
+    assert "tau is too small" in err

@@ -122,12 +122,6 @@ def test_parallel_equivalence():
     assert sink_a.getvalue() == sink_b.getvalue()
 
 
-def test_threads_env_cap(monkeypatch):
-    monkeypatch.setenv("HYPERSPIN_THREADS", "1")
-    grid = small_grid()
-    assert run_sweep(grid).rows == run_sweep(grid, workers=6).rows
-
-
 def test_preset_registry_fixed_parameters():
     # Fixed parameters per preset id: (tau, mu list or None, phi list or None, t_stop).
     full_phi = tuple(k * math.pi / 180.0 for k in range(181))
@@ -263,13 +257,10 @@ def test_grid_rejects_non_finite_tau():
             small_grid(tau=(tau,))
 
 
-def test_run_sweep_validates_worker_count(monkeypatch):
+def test_run_sweep_validates_worker_count():
     for workers in (0, -3):
         with pytest.raises(DomainError, match="workers"):
             run_sweep(small_grid(), workers=workers)
-    monkeypatch.setenv("HYPERSPIN_THREADS", "0")
-    with pytest.raises(DomainError, match="HYPERSPIN_THREADS"):
-        run_sweep(small_grid())
 
 
 def test_columns_and_rows_render_alike():
