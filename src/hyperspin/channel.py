@@ -59,14 +59,16 @@ class ChannelConfig:
             raise DomainError(f"mu must be in [0, 1], got {self.mu}")
         if not 0.0 < self.tau < math.inf:
             raise DomainError(f"tau must be finite and > 0, got {self.tau}")
-        u = 1.0 / (2.0 * self.tau)
+        # Python floats: an np.float64 tau would warn where u * u overflows.
+        tau = float(self.tau)
+        u = 1.0 / (2.0 * tau)
         if u * u == math.inf:
             # The kernel squares u; past the float range K would be nan or inf.
             raise DomainError(
                 f"tau is too small: (1/(2*tau))**2 overflows below about 3.73e-155, "
                 f"got {self.tau}"
             )
-        x = 4.0 * self.tau - 1.0
+        x = 4.0 * tau - 1.0
         if abs(x) < BOUNDARY_ATOL:
             regime = Regime.BOUNDARY
         else:
@@ -122,7 +124,10 @@ def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
         raise DomainError(f"time must be finite, got {t}")
     if t < 0.0:
         raise NegativeTimeError(f"time must be >= 0, got {t}")
-    u = 1.0 / (2.0 * cfg.tau)
+    # Python floats: numpy scalars would warn where u * t or v * t overflows.
+    # ``key`` keeps the caller's object for the memo.
+    key, t = t, float(t)
+    u = 1.0 / (2.0 * float(cfg.tau))
     v = math.sqrt(abs(u * u - 1.0))
     damp = math.exp(-u * t)
     regime = cfg.regime
@@ -143,8 +148,8 @@ def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
             -(v + u) * t
         )
     value = KernelValue(k, u, v)
-    if type(t) is float and type(cfg) is ChannelConfig:
-        _last_kernel = (t, cfg, value)
+    if type(key) is float and type(cfg) is ChannelConfig:
+        _last_kernel = (key, cfg, value)
     return value
 
 
@@ -231,19 +236,13 @@ def dephase(rho: DensityMatrix4, eta: float) -> DensityMatrix4:
 
     Every density-matrix invariant survives this map for eta in [0, 1]
     (the block determinants only grow), so the result is built without
-    re-validation: from the scaled entries for a state built from its
-    entries, from a scaled copy of ``matrix`` for a caller's matrix.
+    re-validation from the four populations and the two scaled entries.
     """
     if not 0.0 <= eta <= 1.0 + PROB_ATOL:
         raise DomainError(f"eta must be in [0, 1], got {eta}")
-    if rho._from_entries:
-        return DensityMatrix4._of_entries(
-            rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14 * eta, rho.rho23 * eta
-        )
-    m = rho.matrix.copy()
-    for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
-        m[i, j] *= eta
-    return DensityMatrix4._trusted(m)
+    return DensityMatrix4._of_entries(
+        rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14 * eta, rho.rho23 * eta
+    )
 
 
 def evolve(rho0: DensityMatrix4, t: float, cfg: ChannelConfig) -> DensityMatrix4:

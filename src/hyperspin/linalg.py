@@ -32,10 +32,15 @@ for _m in PAULI:
 
 def as_matrix(m: Array, dim: int) -> Array:
     """Validate and return ``m`` as a (dim, dim) complex array with finite entries."""
-    out = np.asarray(m, dtype=complex)
+    try:
+        out = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"expected a {dim}x{dim} matrix, got a non-numeric or ragged {type(m).__name__}"
+        ) from None
     if out.shape != (dim, dim):
         raise DomainError(f"expected a {dim}x{dim} matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out.view(float))):
+    if not np.all(np.isfinite(out)):
         raise DomainError("matrix entries must be finite")
     return out
 

@@ -36,7 +36,7 @@ from .errors import (
     NotXStateError,
     UnknownChannelError,
 )
-from .linalg import HERMITICITY_ATOL, Array
+from .linalg import HERMITICITY_ATOL, Array, as_matrix, is_hermitian
 
 PHI_ATOL = 1e-12
 DISCRIMINANT_ATOL = 1e-12
@@ -139,21 +139,18 @@ class DensityMatrix4:
     The six X entries are the state: ``rho11``..``rho44`` are the real
     parts of the diagonal (``float``), ``rho14`` and ``rho23`` the upper
     anti-diagonal entries (``complex``).  ``matrix``, the read-only complex
-    4x4 array, is derived from them and built on first read; only the
-    matrix oracles (``kraus_apply``, ``steering_operator``, the self-check)
-    read it.
+    4x4 array, is derived from them and built on first read: zero off the
+    X, with the lower anti-diagonal the conjugate of the upper one (a real
+    entry is its own conjugate and keeps its ``+0.0`` imaginary part).
+    Only the matrix oracles (``kraus_apply``, ``steering_operator``, the
+    self-check) read it.
 
-    States from ``density_matrix`` and ``dephase`` are built from their
-    entries (``_of_entries``).  Their anti-diagonal entries are real, each
-    its own conjugate, so ``matrix`` is Hermitian and zero off the X by
-    construction.  A caller's matrix goes through the validated constructor,
-    which copies and checks it: off-X entries within ``XSHAPE_ATOL`` and a
-    lower anti-diagonal that conjugates the upper within
-    ``HERMITICITY_ATOL`` pass.  Its ``matrix`` stays those values and its
-    entries are read off it, each equal to the matching entry bit for bit.
-    ``_trusted`` wraps an array unchecked, so its callers must guarantee
-    every invariant and must not keep a writable reference.  Instances are
-    immutable.
+    The validated constructor checks the whole matrix it is given: off-X
+    entries within ``XSHAPE_ATOL`` and a deviation from Hermiticity within
+    ``HERMITICITY_ATOL`` pass.  It then keeps the six X entries and drops
+    the array, so that sub-tolerance noise is not part of the state.
+    ``density_matrix`` and ``dephase`` build states from their entries
+    (``_of_entries``).  Instances are immutable.
     """
 
     rho11: float
@@ -162,17 +159,28 @@ class DensityMatrix4:
     rho44: float
     rho14: complex
     rho23: complex
-    #: True when the six entries are the whole state (built by ``_of_entries``).
-    _from_entries: bool
 
     def __init__(self, matrix: Any) -> None:
-        try:
-            m = np.array(matrix, dtype=complex)
-        except (TypeError, ValueError):
-            raise DomainError(
-                f"expected a 4x4 matrix, got a non-numeric or ragged {type(matrix).__name__}"
-            ) from None
-        self._validate(m)
+        m = as_matrix(matrix, 4)
+        # A modulus past the float range is inf, so it still fails its check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not is_hermitian(m):
+                raise DomainError(f"density matrix must be Hermitian within {HERMITICITY_ATOL:g}")
+            _check_trace(m.trace())
+            for i, j in OFF_X_SLOTS:
+                if abs(m[i, j]) > XSHAPE_ATOL:
+                    raise NotXStateError(f"entry ({i},{j}) = {m[i, j]:.3e} breaks the X pattern")
+            r = m.diagonal().real
+            _check_blocks(r[0], r[1], r[2], r[3], m[0, 3], m[1, 2])
+        e = m.ravel().tolist()
+        # Written to the instance dict, past the immutability guard.
+        d = self.__dict__
+        d["rho11"] = e[0].real
+        d["rho22"] = e[5].real
+        d["rho33"] = e[10].real
+        d["rho44"] = e[15].real
+        d["rho14"] = e[3]
+        d["rho23"] = e[6]
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -180,46 +188,14 @@ class DensityMatrix4:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _validate(self, m: Array) -> None:
-        """Check ``m``, an array no caller holds, then adopt it.  A modulus
-        past the float range is inf, so it still fails its check."""
-        if m.shape != (4, 4):
-            raise DomainError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix entries must be finite")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-                raise DomainError(f"density matrix must be Hermitian within {HERMITICITY_ATOL:g}")
-            _check_trace(m.trace())
-            for i, j in OFF_X_SLOTS:
-                if abs(m[i, j]) > XSHAPE_ATOL:
-                    raise NotXStateError(f"entry ({i},{j}) = {m[i, j]:.3e} breaks the X pattern")
-            d = m.diagonal().real
-            _check_blocks(d[0], d[1], d[2], d[3], m[0, 3], m[1, 2])
-        self._adopt(m, m.ravel().tolist())
-
-    def _adopt(self, m: Array, e: list[complex]) -> None:
-        """Freeze ``m`` and cache its X entries from ``e``, its row-major entries."""
-        m.setflags(write=False)
-        # Written to the instance dict, past the immutability guard.
-        d = self.__dict__
-        d["matrix"] = m
-        d["rho11"] = e[0].real
-        d["rho22"] = e[5].real
-        d["rho33"] = e[10].real
-        d["rho44"] = e[15].real
-        d["rho14"] = e[3]
-        d["rho23"] = e[6]
-        d["_from_entries"] = False
-
     @classmethod
     def _of_entries(
         cls, r11: float, r22: float, r33: float, r44: float, r14: complex, r23: complex
     ) -> "DensityMatrix4":
         """The state with these X entries, unchecked.
 
-        ``r14`` and ``r23`` must be real-valued ``complex`` numbers; the
-        caller guarantees the trace and positivity (``_checked_entries``
+        ``r11``..``r44`` must be ``float`` and ``r14``, ``r23`` ``complex``;
+        the caller guarantees the trace and positivity (``_checked_entries``
         checks them).
         """
         obj = object.__new__(cls)
@@ -230,7 +206,6 @@ class DensityMatrix4:
         d["rho44"] = r44
         d["rho14"] = r14
         d["rho23"] = r23
-        d["_from_entries"] = True
         return obj
 
     @classmethod
@@ -247,20 +222,6 @@ class DensityMatrix4:
         _check_blocks(r11, r22, r33, r44, r14, r23)
         return cls._of_entries(r11, r22, r33, r44, r14, r23)
 
-    @classmethod
-    def _trusted(cls, matrix: Array) -> "DensityMatrix4":
-        """Wrap a matrix whose validity is already guaranteed by construction.
-
-        Only for internal transforms that provably preserve every invariant
-        (e.g. scaling the anti-diagonal by eta in [0, 1]); arbitrary input
-        must go through the normal constructor.  ``matrix`` must be a complex
-        4x4 array that no one writes to afterwards; the X entries are read
-        off it.
-        """
-        obj = object.__new__(cls)
-        obj._adopt(matrix, matrix.ravel().tolist())
-        return obj
-
     @cached_property
     def matrix(self) -> Array:
         """The state as a read-only complex 4x4 array in the sigma_z product basis."""
@@ -269,9 +230,9 @@ class DensityMatrix4:
         m[1, 1] = self.rho22
         m[2, 2] = self.rho33
         m[3, 3] = self.rho44
-        # Real entries: each is its own conjugate.
-        m[0, 3] = m[3, 0] = self.rho14
-        m[1, 2] = m[2, 1] = self.rho23
+        for (i, j), w in (((0, 3), self.rho14), ((1, 2), self.rho23)):
+            m[i, j] = w
+            m[j, i] = w.conjugate() if w.imag else w
         m.setflags(write=False)
         return m
 

@@ -292,6 +292,21 @@ def test_config_rejects_tau_whose_kernel_rate_overflows(tau):
         ChannelConfig(mu=0.5, tau=tau)
 
 
+# An np.float64 near the float range must not make the arithmetic warn.
+def test_config_rejects_a_numpy_tau_whose_kernel_rate_overflows_as_a_float():
+    with pytest.raises(DomainError) as want:
+        ChannelConfig(mu=0.5, tau=1e-160)
+    with pytest.raises(DomainError, match="tau is too small") as got:
+        ChannelConfig(mu=0.5, tau=np.float64(1e-160))
+    assert str(got.value) == str(want.value)
+
+
+def test_kernel_of_a_huge_numpy_time_is_zero_as_for_a_float():
+    cfg = ChannelConfig(mu=0.5, tau=0.1)
+    assert memory_kernel(np.float64(1e308), cfg).k == 0.0
+    assert memory_kernel(1e308, cfg).k == 0.0
+
+
 #: Times up to the largest float, where u*t and v*t overflow.
 EDGE_TIMES = (0.0, 5e-324, 1.0, 1e300, 1e308, 1.7e308, 1.79e308, sys.float_info.max)
 

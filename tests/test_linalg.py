@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperspin import NotHermitianError, channel_params, density_matrix
+from hyperspin import DensityMatrix4, DomainError, NotHermitianError, channel_params, density_matrix
 from hyperspin.linalg import PAULI, hermitian_eigenvalues, partial_trace
 
 RNG = np.random.default_rng(20240817)
@@ -84,6 +84,33 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
     m[0, 1] = 1e-6
     with pytest.raises(NotHermitianError):
         hermitian_eigenvalues(m)
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        ([[1, 2], [3]], "expected a 4x4 matrix, got a non-numeric or ragged list"),
+        ("abc", "expected a 4x4 matrix, got a non-numeric or ragged str"),
+    ],
+)
+def test_ragged_or_non_numeric_input_raises_domain_error(bad, message):
+    for call in (lambda m: partial_trace(m, "first"), hermitian_eigenvalues):
+        with pytest.raises(DomainError) as info:
+            call(bad)
+        assert str(info.value) == message
+
+
+def test_strided_views_are_accepted():
+    m = random_complex((4, 4))
+    h = m + m.conj().T
+    for view in (h.T, h[::-1, ::-1], np.asfortranarray(h)):
+        dense = np.ascontiguousarray(view)
+        assert np.allclose(hermitian_eigenvalues(view), hermitian_eigenvalues(dense))
+        assert np.array_equal(partial_trace(view, "second"), partial_trace(dense, "second"))
+    x = density_matrix(channel_params("xi-"), 1.1).matrix
+    for view in (x.T, x[::-1, ::-1], np.asfortranarray(x)):
+        rho = DensityMatrix4(view)
+        assert np.array_equal(rho.matrix, np.ascontiguousarray(view))
 
 
 def test_production_state_is_rank_two():

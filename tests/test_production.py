@@ -372,16 +372,28 @@ def test_entries_cached_after_validated_constructor():
         assert_entries_cached(DensityMatrix4(m.tolist()))
 
 
-def test_entries_cached_after_trusted_and_dephase():
+def test_entries_cached_after_dephase():
     states = [density_matrix(ch, 1.1) for ch in CHANNELS.values()]
     states += [DensityMatrix4(m) for m in _complex_x_states()]
     for rho in states:
-        assert_entries_cached(DensityMatrix4._trusted(rho.matrix.copy()))
         for eta in (0.0, 0.37, 1.0):
             out = dephase(rho, eta)
             assert_entries_cached(out)
             assert out.rho11 == rho.rho11 and out.rho44 == rho.rho44
             assert _bits(out.rho14) == _bits(rho.rho14 * eta)
+
+
+ENTRY_NAMES = {"rho11", "rho22", "rho33", "rho44", "rho14", "rho23"}
+
+
+def test_state_holds_only_its_six_entries_until_matrix_is_read():
+    m = next(_complex_x_states())
+    caller_states = (DensityMatrix4(m), DensityMatrix4(m.tolist()))
+    for rho in (density_matrix(CHANNELS["lambda"], 1.1), *caller_states):
+        for state in (rho, dephase(rho, 0.5)):
+            assert set(vars(state)) == ENTRY_NAMES
+            state.matrix
+            assert set(vars(state)) == ENTRY_NAMES | {"matrix"}
 
 
 def _eager_density_matrix(ch, phi):
@@ -436,15 +448,23 @@ def test_lazy_matrix_is_bit_identical_to_eager_construction():
                 assert got == float(np.add.reduce(np.abs(out.matrix) * (1.0 - np.eye(4)), axis=None))
 
 
-def test_caller_matrix_keeps_its_off_x_entries():
+def test_caller_matrix_keeps_its_x_projection():
     m = _quarter(e01=1e-13, e10=1e-13, e03=0.1, e30=0.1 + 1e-14j, e12=0.2j, e21=-0.2j)
     rho = DensityMatrix4(m)
-    assert _same_bits(rho.matrix, m)
+    # The X entries of m; the noise off the X and in m[3, 0] is dropped.
+    want = np.zeros((4, 4), dtype=complex)
+    np.fill_diagonal(want, m.diagonal().real)
+    want[0, 3] = want[3, 0] = m[0, 3]  # real, its own conjugate
+    want[1, 2], want[2, 1] = m[1, 2], np.conj(m[1, 2])
+    assert _same_bits(rho.matrix, want)
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
     out = dephase(rho, 0.5)
-    assert _same_bits(out.matrix, _eager_dephase(m, 0.5))
-    assert out.matrix[0, 1] == 1e-13 and out.matrix[3, 0] == 0.05 + 5e-15j
-    # numpy's sum over the whole matrix, the 1e-13 entries included.
-    want = float(np.add.reduce(np.abs(out.matrix) * (1.0 - np.eye(4)), axis=None))
-    assert coherence_l1(out) == want
     w, z = abs(out.rho14), abs(out.rho23)
-    assert want - ((z + w) + (w + z)) > 1.5e-13
+    assert coherence_l1(out) == (z + w) + (w + z)
+    projected = DensityMatrix4._of_entries(
+        0.25, 0.25, 0.25, 0.25, complex(m[0, 3]), complex(m[1, 2])
+    )
+    twin = dephase(projected, 0.5)
+    assert _same_bits(out.matrix, twin.matrix)
+    for name in sorted(ENTRY_NAMES):
+        assert _bits(getattr(out, name)) == _bits(getattr(twin, name)), name

@@ -294,10 +294,7 @@ def _bogus_state_at(phi_bad, w, z):
     def patched(ch, phi):
         if phi != phi_bad:
             return real(ch, phi)
-        m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        m[0, 3] = m[3, 0] = w
-        m[1, 2] = m[2, 1] = z
-        return DensityMatrix4._trusted(m)
+        return DensityMatrix4._of_entries(0.25, 0.25, 0.25, 0.25, complex(w), complex(z))
 
     return patched
 
