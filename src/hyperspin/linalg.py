@@ -38,6 +38,9 @@ def as_matrix(m: Array, dim: int) -> Array:
         raise DomainError(
             f"expected a {dim}x{dim} matrix, got a non-numeric or ragged {type(m).__name__}"
         ) from None
+    except OverflowError:
+        # A Python int past the float range.
+        raise DomainError("matrix entry too large to convert to a float") from None
     if out.shape != (dim, dim):
         raise DomainError(f"expected a {dim}x{dim} matrix, got shape {out.shape}")
     if not np.all(np.isfinite(out)):

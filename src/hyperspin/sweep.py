@@ -5,12 +5,16 @@ lexicographic order, which is the C order of a ``(phi, mu, tau, time)``
 array.  Every value of a row is an elementwise function of two things: the
 X-state entries of the production state ``rho0(phi)``, and the survival
 factor ``eta(mu, tau, t)``, whose kernel part depends on ``(tau, t)`` only.
-The engine therefore builds one state per phi, one kernel value per
-``(tau, t)`` and one eta per ``(mu, tau, t)``, and evaluates the measures as
-numpy columns over consecutive rows, a bounded chunk of rows at a time.
-Rendering works from the same columns and formats the strings that repeat
-once: the ``channel, phi, mu, tau, regime`` prefix per series and
-``time, kernel, eta`` per ``(mu, tau, t)``.
+``run_sweep`` therefore keeps one set of state constants per phi, one kernel
+value per ``(tau, t)`` and one eta per ``(mu, tau, t)``, and runs the domain
+checks over every row before it returns.  The measures are never held for
+the whole grid: reading the rows or emitting them evaluates the measures as
+numpy columns over a bounded chunk of rows, renders that chunk and writes
+it, so memory depends on the chunk size and not on the number of rows.
+Rendering formats the strings that repeat once per chunk: the ``channel,
+phi, mu, tau, regime`` prefix per series and ``time, kernel, eta`` per
+``(mu, tau, t)``.  CSV and JSON are rendered the same way, from one
+``%`` template per column group.
 
 The columns equal the scalar path (``dephase`` then ``measure_all``) bit for
 bit, which the test suite and ``hyperspin check`` verify row by row.  Three
@@ -25,6 +29,7 @@ rules keep them so:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -32,7 +37,7 @@ import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -86,24 +91,28 @@ _POINT_COLUMNS = COLUMNS[5:8]
 _MEASURE_COLUMNS = COLUMNS[8:]
 
 
-def _format_of(columns: Sequence[tuple[str, type]]) -> str:
+def _csv_fields(columns: Sequence[tuple[str, type]]) -> str:
     return ",".join(FLOAT_FORMAT if kind is float else "%s" for _, kind in columns)
 
 
-_ROW_FORMAT = _format_of(COLUMNS)
-_SERIES_FORMAT = _format_of(_SERIES_COLUMNS)
-_POINT_FORMAT = _format_of(_POINT_COLUMNS)
-_COLUMNAR_LINE_FORMAT = "%s,%s," + _format_of(_MEASURE_COLUMNS) + "\n"
+def _json_fields(columns: Sequence[tuple[str, type]]) -> str:
+    """Members of a record as ``json.dumps(..., indent=1)`` lays out a record
+    of the ``records`` array, each value a ``%s`` for its JSON rendering."""
+    return "".join(f"\n   {json.dumps(name)}: %s," for name, _ in columns)
+
+
+_ROW_FORMAT = _csv_fields(COLUMNS)
 
 MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 
-#: Rows evaluated and rendered per chunk; bounds the numpy temporaries.
-_CHUNK_ROWS = 1 << 14
+#: Rows evaluated, rendered and written per chunk; sets a sweep's peak memory.
+_CHUNK_ROWS = 1 << 12
 
 #: Most points one axis may have and most rows one sweep may have, checked
 #: before anything is allocated: about 20x the largest preset (h2b, 505,101
-#: rows).  At the cap the measure columns alone take 570 MB (57 bytes per
-#: row).  Change it by assigning ``hyperspin.sweep.MAX_ROWS``.
+#: rows).  A sweep keeps 8 bytes of eta per ``(mu, tau, time)`` point, at
+#: most 80 MB at the cap, and evaluates the measures a chunk of rows at a
+#: time.  Change it by assigning ``hyperspin.sweep.MAX_ROWS``.
 MAX_ROWS = 10_000_000
 
 #: Steering classes indexed by the code ``(s_ab > 0) + 2 * (s_ba > 0)``.
@@ -306,20 +315,39 @@ def _state_constants(states: Iterable[DensityMatrix4]) -> dict[str, np.ndarray]:
     return dict(zip(_STATE_FIELDS, columns))
 
 
-def _measure_chunk(
+def _dephased(
     st: dict[str, np.ndarray], eta: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """``measure_all(dephase(rho0, eta), ...)`` as columns over a chunk of rows.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The part of ``measure_all(dephase(rho0, eta), ...)`` that decides
+    whether a row is valid, as columns over a chunk of rows.
 
     ``st`` holds the ``_state_constants`` of each row's state.  Returns the
-    measure columns, keyed by column name, and a mask of the rows on which
-    ``measure_all`` would raise (the eta check is the caller's).  Each line
-    mirrors the scalar expression it replaces, operation for operation.
+    moduli ``|w|``, ``|z|`` of the dephased anti-diagonal, the concurrence,
+    the Bloch components ``r11``, ``r22``, and a mask of the rows on which
+    ``dephase`` or ``measure_all`` would raise.
     """
     w = st["r14"] * eta
     z = st["r23"] * eta
     w_abs = np.abs(w)
     z_abs = np.abs(z)
+    conc = 2.0 * _pymax(_pymax(z_abs - w_abs, w_abs - z_abs), 0.0)
+    r11 = 2.0 * (z + w)
+    r22 = 2.0 * (z - w)
+    bad = ~((0.0 <= eta) & (eta <= 1.0 + PROB_ATOL))
+    bad |= ~((-DOMAIN_ATOL <= conc) & (conc <= 1.0 + DOMAIN_ATOL))
+    bad |= (np.abs(r11) > 1.0 + DOMAIN_ATOL) | (np.abs(r22) > 1.0 + DOMAIN_ATOL)
+    bad |= st["bloch_bad"]
+    return w_abs, z_abs, conc, r11, r22, bad
+
+
+def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> dict[str, np.ndarray]:
+    """``measure_all(dephase(rho0, eta), ...)`` as columns over a chunk of
+    rows that ``_dephased`` accepts, keyed by measure column.
+
+    Each line mirrors the scalar expression it replaces, operation for
+    operation.
+    """
+    w_abs, z_abs, conc, r11, r22, _ = _dephased(st, eta)
 
     # steering
     w2 = _square(w_abs)
@@ -329,17 +357,11 @@ def _measure_chunk(
     s_ab = _pymax(0.0, scale * _pymax(w2 - corner - bias, z2 - inner - bias))
     s_ba = _pymax(0.0, scale * _pymax(w2 - corner + bias, z2 - inner + bias))
 
-    # concurrence and entanglement of formation
-    conc = 2.0 * _pymax(_pymax(z_abs - w_abs, w_abs - z_abs), 0.0)
-    bad = ~((-DOMAIN_ATOL <= conc) & (conc <= 1.0 + DOMAIN_ATOL))
+    # entanglement of formation
     c = _pymin(_pymax(conc, 0.0), 1.0)
     eof = _binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
 
     # geometric discord
-    r11 = 2.0 * (z + w)
-    r22 = 2.0 * (z - w)
-    bad |= (np.abs(r11) > 1.0 + DOMAIN_ATOL) | (np.abs(r22) > 1.0 + DOMAIN_ATOL)
-    bad |= st["bloch_bad"]
     r11sq = _square(r11)
     r22sq = _square(r22)
     rmax_sq = _pymax(r22sq + st["r30sq"], st["r33sq"])
@@ -349,7 +371,7 @@ def _measure_chunk(
     num = _pymax(r11sq * rmax_sq - r22sq * rmin_sq, 0.0)
     gqd = np.where(vanishing, 0.0, 0.5 * np.sqrt(num / np.where(vanishing, 1.0, den)))
 
-    measures = {
+    return {
         "s_ab": s_ab,
         "s_ba": s_ba,
         "delta_s": np.abs(s_ab - s_ba),
@@ -360,7 +382,6 @@ def _measure_chunk(
         # numpy's pairwise sum over the 16 moduli of the dephased matrix.
         "coherence_l1": (z_abs + w_abs) + (w_abs + z_abs),
     }
-    return measures, bad
 
 
 def _in_context(
@@ -371,10 +392,16 @@ def _in_context(
     )
 
 
+#: A chunk of consecutive rows: the distinct series it covers (one list per
+#: series column), each row's index into them, the distinct points likewise,
+#: and one list per measure column.
+_Chunk = tuple[list[Sequence], np.ndarray, list[Sequence], np.ndarray, list[Sequence]]
+
+
 @dataclass(frozen=True)
 class _Columns:
-    """A sweep's values as columns; row ``r`` is grid point ``r`` in the C
-    order of ``(phi, mu, tau, time)``."""
+    """What a sweep's rows are computed from; row ``r`` is grid point ``r`` in
+    the C order of ``(phi, mu, tau, time)``."""
 
     grid: SweepGrid
     #: Regime label per tau.
@@ -384,71 +411,159 @@ class _Columns:
     kernel: np.ndarray
     #: Per (mu, tau, time) point, flattened.
     eta: np.ndarray
-    #: Per row, keyed by measure column; ``steering_class`` holds class codes.
-    measures: dict[str, np.ndarray]
+    #: The ``_state_constants``, one entry per phi.
+    states: dict[str, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.grid)
 
-    def _series_values(self, series: np.ndarray) -> list[tuple]:
+    def _inputs(self) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]]:
+        """Per chunk of rows: the row indices, and each row's state constants
+        and eta."""
+        for start in range(0, len(self), _CHUNK_ROWS):
+            rows = np.arange(start, min(start + _CHUNK_ROWS, len(self)))
+            i_state, i_point = np.divmod(rows, self.eta.size)
+            states = {name: col[i_state] for name, col in self.states.items()}
+            yield rows, states, self.eta[i_point]
+
+    def check(self) -> None:
+        """Raise the scalar path's error at the first row it would reject."""
+        for rows, states, eta in self._inputs():
+            bad = _dephased(states, eta)[-1]
+            if bad.any():
+                self._raise_at(int(rows[bad.argmax()]))
+
+    def chunks(self) -> Iterator[_Chunk]:
+        """The rows, with their measures evaluated, a chunk at a time."""
         g = self.grid
         n_tau = len(g.tau)
-        n_mu_tau = len(g.mu) * n_tau
-        return [
-            (g.channel, g.phi[s // n_mu_tau], g.mu[s % n_mu_tau // n_tau], g.tau[s % n_tau],
-             self.regimes[s % n_tau])
-            for s in series.tolist()
-        ]  # fmt: skip
-
-    def _point_values(self, points: np.ndarray) -> list[tuple]:
-        return list(
-            zip(
+        for rows, states, eta in self._inputs():
+            measures = _measure_chunk(states, eta)
+            series, series_of_row = np.unique(rows // self.times.size, return_inverse=True)
+            points, point_of_row = np.unique(rows % self.eta.size, return_inverse=True)
+            i_phi, i_mu_tau = np.divmod(series, len(g.mu) * n_tau)
+            i_mu, i_tau = np.divmod(i_mu_tau, n_tau)
+            series_columns = [
+                [g.channel] * series.size,
+                _pick(g.phi, i_phi),
+                _pick(g.mu, i_mu),
+                _pick(g.tau, i_tau),
+                _pick(self.regimes, i_tau),
+            ]
+            point_columns = [
                 self.times[points % self.times.size].tolist(),
                 self.kernel[points % self.kernel.size].tolist(),
                 self.eta[points].tolist(),
-            )
-        )
-
-    def _chunks(self) -> Iterator[tuple[list[tuple], np.ndarray, list[tuple], np.ndarray, list]]:
-        """Per chunk of rows: the distinct series and points the chunk covers,
-        each row's index into both, and the measure columns as lists."""
-        for start in range(0, len(self), _CHUNK_ROWS):
-            stop = min(start + _CHUNK_ROWS, len(self))
-            rows = np.arange(start, stop)
-            series, series_of_row = np.unique(rows // self.times.size, return_inverse=True)
-            points, point_of_row = np.unique(rows % self.eta.size, return_inverse=True)
-            measures = [
-                _CLASS_NAMES[self.measures[name][start:stop]].tolist()
+            ]
+            measure_columns = [
+                _CLASS_NAMES[measures[name]].tolist()
                 if name == "steering_class"
-                else self.measures[name][start:stop].tolist()
+                else measures[name].tolist()
                 for name, _ in _MEASURE_COLUMNS
             ]
-            yield (
-                self._series_values(series), series_of_row,
-                self._point_values(points), point_of_row,
-                measures,
-            )  # fmt: skip
+            yield series_columns, series_of_row, point_columns, point_of_row, measure_columns
 
-    def values(self) -> Iterator[tuple]:
-        """Every row's values in ``COLUMNS`` order."""
-        for series, series_of_row, points, point_of_row, measures in self._chunks():
-            for s, p, m in zip(series_of_row.tolist(), point_of_row.tolist(), zip(*measures)):
-                yield series[s] + points[p] + m
+    def _raise_at(self, row: int) -> NoReturn:
+        """Raise the error of the scalar path at a row ``check`` flagged."""
+        grid, times = self.grid, self.times.tolist()
+        shape = (len(grid.phi), len(grid.mu), len(grid.tau), len(times))
+        i_phi, i_mu, i_tau, i_time = (int(i) for i in np.unravel_index(row, shape))
+        e = float(self.eta[row % self.eta.size])
+        k = float(self.kernel[i_tau * len(times) + i_time])
+        rho0 = density_matrix(channel_params(grid.channel), grid.phi[i_phi])
+        try:
+            measure_all(dephase(rho0, e), e, k)
+        except HyperspinError as exc:
+            raise _in_context(
+                exc, grid.channel, grid.phi[i_phi], grid.mu[i_mu], grid.tau[i_tau], times[i_time]
+            ) from exc
+        raise HyperspinError(f"sweep row {row} flagged as invalid, but the scalar path accepts it")
 
-    def csv_chunks(self) -> Iterator[str]:
-        """The CSV lines, one string per chunk of rows; each series prefix
-        and each point's ``time, kernel, eta`` is formatted once per chunk."""
-        for series, series_of_row, points, point_of_row, measures in self._chunks():
-            prefixes = np.array([_SERIES_FORMAT % v for v in series], dtype=object)
-            middles = np.array([_POINT_FORMAT % v for v in points], dtype=object)
-            lines = zip(
-                prefixes[series_of_row].tolist(), middles[point_of_row].tolist(), *measures
-            )
-            yield "".join(map(_COLUMNAR_LINE_FORMAT.__mod__, lines))
+
+def _pick(values: Sequence[Any], index: np.ndarray) -> list:
+    return list(map(values.__getitem__, index.tolist()))
+
+
+def _row_chunks(rows: Sequence[SweepRow]) -> Iterator[_Chunk]:
+    """Explicit rows as chunks: every row is its own series and point."""
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        columns = list(zip(*(row.values() for row in rows[start : start + _CHUNK_ROWS])))
+        each = np.arange(len(columns[0]))
+        yield columns[:5], each, columns[5:8], each, columns[8:]
+
+
+def _chunk_values(chunks: Iterable[_Chunk]) -> Iterator[tuple]:
+    """Every row's values in ``COLUMNS`` order."""
+    for series, series_of_row, points, point_of_row, measures in chunks:
+        series_rows, point_rows = list(zip(*series)), list(zip(*points))
+        for s, p, m in zip(series_of_row.tolist(), point_of_row.tolist(), zip(*measures)):
+            yield series_rows[s] + point_rows[p] + m
+
+
+def _json_values(kind: type, values: Sequence[Any]) -> Sequence[Any]:
+    """A column as ``json.dumps`` writes its values; floats are rounded
+    through their 12-digit rendering first, as in ``SweepRow.as_dict``."""
+    if kind is not float:
+        return list(map(_json_string, values))
+    rounded = list(map(float, map(FLOAT_FORMAT.__mod__, values)))
+    # ``str`` of a finite float is its JSON form; json spells inf and nan apart.
+    if math.isfinite(sum(rounded)):
+        return rounded
+    return list(map(json.dumps, rounded))
+
+
+#: ``json.dumps`` of a string column value; a column holds few distinct ones.
+_json_string = functools.lru_cache(maxsize=256)(json.dumps)
+
+
+@dataclass(frozen=True)
+class _Format:
+    """How one output format renders a chunk: a ``%`` template per column
+    group, filled with each column's values as ``convert`` gives them."""
+
+    series: str
+    point: str
+    #: Takes a row's rendered series and point, then its measures.
+    line: str
+    convert: Callable[[type, Sequence[Any]], Sequence[Any]]
+
+    def _converted(self, columns: Sequence[tuple[str, type]], values: list) -> list:
+        return [self.convert(kind, v) for (_, kind), v in zip(columns, values)]
+
+    def _fill(
+        self, template: str, columns: Sequence[tuple[str, type]], values: list
+    ) -> np.ndarray:
+        filled = map(template.__mod__, zip(*self._converted(columns, values)))
+        return np.array(list(filled), dtype=object)
+
+    def render(self, chunk: _Chunk) -> str:
+        """The chunk's rows as text; each series and each point is rendered
+        once per chunk."""
+        series, series_of_row, points, point_of_row, measures = chunk
+        prefixes = self._fill(self.series, _SERIES_COLUMNS, series)[series_of_row].tolist()
+        middles = self._fill(self.point, _POINT_COLUMNS, points)[point_of_row].tolist()
+        lines = zip(prefixes, middles, *self._converted(_MEASURE_COLUMNS, measures))
+        return "".join(map(self.line.__mod__, lines))
+
+
+_CSV = _Format(
+    _csv_fields(_SERIES_COLUMNS),
+    _csv_fields(_POINT_COLUMNS),
+    "%s,%s," + _csv_fields(_MEASURE_COLUMNS) + "\n",
+    lambda kind, values: values,
+)
+# Every JSON record starts with the "," that separates it from the one before.
+_JSON = _Format(
+    "\n  {" + _json_fields(_SERIES_COLUMNS),
+    _json_fields(_POINT_COLUMNS),
+    ",%s%s" + _json_fields(_MEASURE_COLUMNS)[:-1] + "\n  }",
+    _json_values,
+)
 
 
 def _evaluate(grid: SweepGrid) -> _Columns:
-    """Evaluate every grid point as columns, raising like the scalar path.
+    """Build the per-phi, per-(tau, t) and per-point inputs of every row and
+    check every row, raising like the scalar path.
 
     A row on which ``dephase`` or ``measure_all`` would raise is re-run on
     that path to raise its error, extended by the row's coordinates; the
@@ -471,56 +586,18 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     k = np.array(kernel)
     k2 = k * k
     eta = (k2 + (1.0 - k2) * np.array(grid.mu)[:, None]).ravel()
-    eta_bad = ~((0.0 <= eta) & (eta <= 1.0 + PROB_ATOL))
-
-    n_rows, n_point = len(grid), eta.size
-    measures = {
-        name: np.empty(n_rows, np.int8 if kind is str else float)
-        for name, kind in _MEASURE_COLUMNS
-    }
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        rows = np.arange(start, min(start + _CHUNK_ROWS, n_rows))
-        i_state, i_point = np.divmod(rows, n_point)
-        chunk, bad = _measure_chunk(
-            {name: col[i_state] for name, col in constants.items()}, eta[i_point]
-        )
-        bad |= eta_bad[i_point]
-        if bad.any():
-            row = int(rows[bad.argmax()])
-            _raise_at(grid, times, kernel, eta, row)
-        for name, col in chunk.items():
-            measures[name][start : start + rows.size] = col
-    return _Columns(grid, regimes, np.array(times), k, eta, measures)
-
-
-def _raise_at(
-    grid: SweepGrid,
-    times: Sequence[float],
-    kernel: Sequence[float],
-    eta: np.ndarray,
-    row: int,
-) -> NoReturn:
-    """Raise the error of the scalar path at a row the columns flagged."""
-    shape = (len(grid.phi), len(grid.mu), len(grid.tau), len(times))
-    i_phi, i_mu, i_tau, i_time = (int(i) for i in np.unravel_index(row, shape))
-    e = float(eta[row % eta.size])
-    k = kernel[i_tau * len(times) + i_time]
-    rho0 = density_matrix(channel_params(grid.channel), grid.phi[i_phi])
-    try:
-        measure_all(dephase(rho0, e), e, k)
-    except HyperspinError as exc:
-        raise _in_context(
-            exc, grid.channel, grid.phi[i_phi], grid.mu[i_mu], grid.tau[i_tau], times[i_time]
-        ) from exc
-    raise HyperspinError(f"sweep row {row} flagged as invalid, but the scalar path accepts it")
+    columns = _Columns(grid, regimes, np.array(times), k, eta, constants)
+    columns.check()
+    return columns
 
 
 class SweepResult:
     """The rows of a sweep and its metadata.
 
-    ``run_sweep`` keeps the values in columns and builds ``rows`` on first
-    access; a result built from explicit rows renders through the same
-    column table.
+    ``run_sweep`` keeps only what the rows are computed from; reading
+    ``rows`` (built on first access) or emitting evaluates the measures a
+    chunk of rows at a time.  A result built from explicit rows renders
+    through the same chunks.
     """
 
     def __init__(self, rows: Iterable[SweepRow], metadata: dict[str, Any]) -> None:
@@ -537,21 +614,16 @@ class SweepResult:
     @property
     def rows(self) -> list[SweepRow]:
         if self._rows is None:
-            self._rows = [_row_of(v) for v in self._values()]
+            self._rows = [_row_of(v) for v in _chunk_values(self._chunks())]
         return self._rows
 
     def __len__(self) -> int:
         return len(self._rows) if self._rows is not None else len(self._columns)
 
-    def _values(self) -> Iterator[tuple]:
+    def _chunks(self) -> Iterator[_Chunk]:
         if self._columns is not None:
-            return self._columns.values()
-        return (row.values() for row in self._rows)
-
-    def _csv_chunks(self) -> Iterator[str]:
-        if self._columns is not None:
-            return self._columns.csv_chunks()
-        return iter(["".join(_ROW_FORMAT % v + "\n" for v in self._values())])
+            return self._columns.chunks()
+        return _row_chunks(self._rows)
 
 
 @dataclass(frozen=True)
@@ -611,18 +683,16 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
     """Serialize a sweep result as CSV or JSON; returns bytes written.
 
     CSV: fixed header, one line per row, '\\n' newlines, floats with 12
-    significant digits, written a chunk of rows at a time.  JSON: object
-    with ``metadata`` and a ``records`` array of flat objects carrying the
-    same field names as the CSV columns.
+    significant digits.  JSON: the bytes of ``json.dumps(..., indent=1)`` of
+    an object with ``metadata`` and a ``records`` array of flat objects
+    carrying the same field names as the CSV columns, floats rounded to 12
+    significant digits.  Either way the rows are evaluated, rendered and
+    written a chunk at a time.
     """
     if fmt == "csv":
-        chunks: Iterable[str] = chain([CSV_HEADER + "\n"], result._csv_chunks())
+        chunks: Iterable[str] = chain([CSV_HEADER + "\n"], map(_CSV.render, result._chunks()))
     elif fmt == "json":
-        obj = {
-            "metadata": result.metadata,
-            "records": [_json_record(v) for v in result._values()],
-        }
-        chunks = [json.dumps(obj, indent=1) + "\n"]
+        chunks = _json_document(result)
     else:
         raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}")
 
@@ -630,6 +700,19 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
         with open(sink, "w", encoding="utf-8", newline="") as fh:
             return _write(chunks, fh)
     return _write(chunks, sink)
+
+
+def _json_document(result: SweepResult) -> Iterable[str]:
+    """The JSON text in chunks; the head is rendered before any is written."""
+    empty = json.dumps({"metadata": result.metadata, "records": []}, indent=1) + "\n"
+    # "records" is the last member, so its "[]" is the last one in the text.
+    head, _, tail = empty.rpartition("[]")
+    records = map(_JSON.render, result._chunks())
+    first = next(records, None)
+    if first is None:
+        return [empty]
+    # The first record has no record before it to be separated from.
+    return chain([head + "[" + first[1:]], records, ["\n ]" + tail])
 
 
 def _write(chunks: Iterable[str], fh: IO[str]) -> int:

@@ -5,13 +5,23 @@ output version deliberately; the h1a, h1b and phi-scan digests are the
 same ones the benchmark in ``perfbench/digests.json`` checks.
 """
 
+import dataclasses
 import functools
 import hashlib
 import io
+import math
 
 import pytest
 
-from hyperspin import SweepGrid, TimeGrid, emit, figure_preset, run_preset, run_sweep
+from hyperspin import (
+    SweepGrid,
+    SweepResult,
+    TimeGrid,
+    emit,
+    figure_preset,
+    run_preset,
+    run_sweep,
+)
 
 GOLDEN = {
     ("h1a", "csv"): "9842e5a8aed04cdd23d9110bc178e45511d80f43617bb200fa9f84013a63d3cb",
@@ -19,6 +29,9 @@ GOLDEN = {
     ("nm08", "csv"): "fa87c0ce5890abc9dc0ec2dd62e642c16c16462888ed7e9689eec74fb4c025f0",
     ("sc2b", "csv"): "f23070cf8a6c7286811ec1eda75b73b396d8715990e090eba9817f83798be9a5",
     ("h1b", "json"): "73dcafae957f391d37f8eabcaa7b2d91d302eb5d3220084e756a420b7a809994",
+    ("h1a", "json"): "5aa1e781cf633f05bd2b33d10547a43e14678020341cf210eaaf7f2d49bbb5cf",
+    ("nm08", "json"): "ba69690e8eae68f8dd6e8f7732b3d1e28d3fd76fcdf0604d37857f6e3be72cc4",
+    ("sc2b", "json"): "be5fa57a4fa8a5a051fa2cfe285ce014dedc770161950be48a1364fcc17997b8",
 }
 #: The CSV sha256 of every other preset in ``PRESETS``.
 PRESET_CSV = {
@@ -48,6 +61,11 @@ PRESET_CSV = {
     "sc2a": "19ce8932281058974d54012f15173790eedb2e7ba218796cb2aaaae4974bfde1",
 }
 PHI_SCAN_CSV = "0b1970936a268efb27028e3504b1e07f80374d65546aa0d95acc751f3479ba47"
+#: An explicit-rows result whose channel is non-ASCII: (bytes emitted, sha256).
+EXPLICIT_ROWS = {
+    "csv": (4147, "5890b741d2f999fd12562ac5e91636a10ab8893cb525ff7c921aeb3d6c395f47"),
+    "json": (13555, "033721f7b46216e49a28a5dc492399e324d0b091cb281c66f464f088f9253fec"),
+}
 
 
 def _sha256(result, fmt):
@@ -91,3 +109,20 @@ def test_phi_scan_digest():
     phis = tuple(TimeGrid(0.0, 3.14159, 0.0001).values())
     grid = SweepGrid("xi-", phis, (0.8,), (5.0,), TimeGrid(2.0, 2.0, 1.0))
     assert _sha256(run_sweep(grid), "csv") == PHI_SCAN_CSV
+
+
+@pytest.mark.parametrize("fmt", sorted(EXPLICIT_ROWS))
+def test_explicit_rows_digest(fmt):
+    # Computed rows renamed to the channel "Λ": two UTF-8 bytes in CSV, a
+    # \u escape in JSON.
+    grid = SweepGrid(
+        "lambda", (0.0, 0.7, math.pi / 2.0), (0.0, 0.8), (0.1, 5.0), TimeGrid(0.0, 1.0, 0.5)
+    )
+    computed = run_sweep(grid)
+    result = SweepResult(
+        [dataclasses.replace(row, channel="Λ") for row in computed.rows], computed.metadata
+    )
+    sink = io.StringIO()
+    nbytes = emit(result, fmt, sink)
+    digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+    assert (nbytes, digest) == EXPLICIT_ROWS[fmt]

@@ -100,6 +100,14 @@ def test_ragged_or_non_numeric_input_raises_domain_error(bad, message):
         assert str(info.value) == message
 
 
+def test_integer_past_the_float_range_raises_domain_error():
+    huge = [[10**400] * 4] * 4
+    for call in (DensityMatrix4, lambda m: partial_trace(m, "first")):
+        with pytest.raises(DomainError) as info:
+            call(huge)
+        assert str(info.value) == "matrix entry too large to convert to a float"
+
+
 def test_strided_views_are_accepted():
     m = random_complex((4, 4))
     h = m + m.conj().T

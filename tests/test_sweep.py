@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,19 @@ def test_emit_json_round_trip():
         assert rec == row.as_dict()
 
 
+def test_emit_json_is_json_dumps_of_the_records():
+    rows = run_sweep(small_grid()).rows
+    # Explicit rows may carry values a sweep never makes; json spells them apart.
+    rows[1] = dataclasses.replace(rows[1], phi=math.nan, time=math.inf, channel="Λ")
+    result = SweepResult(rows, {"preset": None, "note": "[]"})
+    sink = io.StringIO()
+    emit(result, "json", sink)
+    records = [row.as_dict() for row in rows]
+    assert sink.getvalue() == json.dumps(
+        {"metadata": result.metadata, "records": records}, indent=1
+    ) + "\n"
+
+
 def test_emit_to_path(tmp_path):
     result = run_sweep(small_grid())
     target = tmp_path / "out.csv"
@@ -274,6 +288,49 @@ def test_columns_and_rows_render_alike():
         if fmt == "csv":
             assert a.getvalue().splitlines()[1:] == [row.csv_line() for row in result.rows]
     assert CSV_HEADER.split(",") == list(result.rows[0].as_dict())
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def _phi_grid(n_phi):
+    phis = tuple(k * math.pi / (n_phi - 1) for k in range(n_phi))
+    return SweepGrid("lambda", phis, (0.8,), (0.1,), TimeGrid(0.0, 1.0, 0.01))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_memory_does_not_grow_with_rows(monkeypatch, fmt):
+    monkeypatch.setattr(sweep_module, "_CHUNK_ROWS", 512)
+    peaks = []
+    for n_phi in (20, 80):  # 2,020 rows (about four chunks), then four times as many
+        tracemalloc.start()
+        try:
+            emit(run_sweep(_phi_grid(n_phi)), fmt, _Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks
+
+
+def test_repeated_emits_give_the_same_bytes(monkeypatch):
+    grid = small_grid(phi=(0.0, 0.7, HALF_PI), mu=(0.0, 0.5, 0.8), tau=(0.1, 5.0))
+    result = run_sweep(grid)
+    outputs = []
+    for fmt in ("csv", "json", "csv", "json"):
+        sink = io.StringIO()
+        emit(result, fmt, sink)
+        outputs.append(sink.getvalue())
+    assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+    assert outputs[0].splitlines()[1:] == [row.csv_line() for row in result.rows]
+    # Chunk boundaries inside series and points leave the bytes as they are.
+    monkeypatch.setattr(sweep_module, "_CHUNK_ROWS", 7)
+    for fmt, want in (("csv", outputs[0]), ("json", outputs[1])):
+        for source in (run_sweep(grid), SweepResult(result.rows, result.metadata)):
+            sink = io.StringIO()
+            emit(source, fmt, sink)
+            assert sink.getvalue() == want
 
 
 # Patched layers that make the scalar path raise: a kernel above 1 (eta check),
