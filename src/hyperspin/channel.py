@@ -24,11 +24,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from .errors import DomainError, InvalidKernelError, NegativeTimeError
-from .linalg import Array, PAULI
+from .linalg import PAULI, Array, as_matrix
 from .production import DensityMatrix4
 
 BOUNDARY_ATOL = 1e-9
@@ -162,7 +163,7 @@ def flip_probability(kernel: KernelValue | float) -> float:
         If |K| exceeds 1 beyond roundoff, which would make p leave [0, 1].
     """
     k = kernel.k if isinstance(kernel, KernelValue) else float(kernel)
-    if abs(k) > 1.0 + PROB_ATOL:
+    if not abs(k) <= 1.0 + PROB_ATOL:
         raise InvalidKernelError(f"|K| = {abs(k)} > 1")
     return min(max(0.5 * (1.0 - k), 0.0), 1.0)
 
@@ -174,12 +175,10 @@ class JointProbabilities:
     table: Array = field(repr=False)
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.table, dtype=float).copy()
-        if t.shape != (4, 4):
-            raise DomainError(f"joint table must be 4x4, got {t.shape}")
+        t = as_matrix(self.table, 4, float).copy()
         if np.any(t < -PROB_ATOL):
             raise DomainError(f"negative joint probability {t.min():.3e}")
-        if abs(t.sum() - 1.0) > PROB_ATOL:
+        if not abs(t.sum() - 1.0) <= PROB_ATOL:
             raise DomainError(f"joint probabilities sum to {t.sum():.12g}, not 1")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
@@ -226,9 +225,13 @@ def decoherence_factor(t: float, cfg: ChannelConfig) -> float:
     Equals 1 at t = 0, tends to ``mu`` as the kernel dies, and is
     non-decreasing in ``mu`` at fixed time.
     """
-    k = memory_kernel(t, cfg).k
+    return _survival(memory_kernel(t, cfg).k, cfg.mu)
+
+
+def _survival(k: Any, mu: Any) -> Any:
+    """``eta`` of kernel ``k`` and correlation ``mu``: floats or numpy columns."""
     k2 = k * k
-    return k2 + (1.0 - k2) * cfg.mu
+    return k2 + (1.0 - k2) * mu
 
 
 def dephase(rho: DensityMatrix4, eta: float) -> DensityMatrix4:

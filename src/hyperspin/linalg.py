@@ -30,10 +30,10 @@ for _m in PAULI:
     _m.setflags(write=False)
 
 
-def as_matrix(m: Array, dim: int) -> Array:
-    """Validate and return ``m`` as a (dim, dim) complex array with finite entries."""
+def as_matrix(m: Array, dim: int, dtype: type = complex) -> Array:
+    """Validate and return ``m`` as a (dim, dim) array of ``dtype`` with finite entries."""
     try:
-        out = np.asarray(m, dtype=complex)
+        out = np.asarray(m, dtype=dtype)
     except (TypeError, ValueError):
         raise DomainError(
             f"expected a {dim}x{dim} matrix, got a non-numeric or ragged {type(m).__name__}"

@@ -142,8 +142,10 @@ def steering(rho: DensityMatrix4) -> SteeringResult:
     first-to-second, plus for the reverse).
     """
     corner, bias, inner = _steering_bounds(rho.rho11, rho.rho22, rho.rho33, rho.rho44)
-    w2 = abs(rho.rho14) ** 2
-    z2 = abs(rho.rho23) ** 2
+    w = abs(rho.rho14)
+    z = abs(rho.rho23)
+    w2 = w * w
+    z2 = z * z
     scale = 8.0 / SQRT3
     s_ab = max(0.0, scale * max(w2 - corner - bias, z2 - inner - bias))
     s_ba = max(0.0, scale * max(w2 - corner + bias, z2 - inner + bias))
@@ -169,11 +171,10 @@ def concurrence(rho: DensityMatrix4) -> float:
 
     which then scales linearly with the survival factor carried by the
     anti-diagonal.  Exact for the states this package produces; coincides
-    with the general Wootters value at full coherence.
+    with the general Wootters value at full coherence.  For moduli the
+    maximum is ``abs(|rho23| - |rho14|)``, bit for bit.
     """
-    w = abs(rho.rho14)
-    z = abs(rho.rho23)
-    return 2.0 * max(z - w, w - z, 0.0)
+    return 2.0 * abs(abs(rho.rho23) - abs(rho.rho14))
 
 
 def concurrence_closed(ch: HyperonChannel, phi: float, eta: float) -> float:
@@ -239,10 +240,10 @@ def geometric_discord(rho: DensityMatrix4) -> float:
     returned as the continuous limit.
     """
     r11, r22, r33, _, r30 = _bloch_components(rho)
-    r11sq = r11**2
-    r22sq = r22**2
-    r33sq = r33**2
-    rmax_sq = max(r22sq + r30**2, r33sq)
+    r11sq = r11 * r11
+    r22sq = r22 * r22
+    r33sq = r33 * r33
+    rmax_sq = max(r22sq + r30 * r30, r33sq)
     rmin_sq = min(r11sq, r33sq)
     den = rmax_sq - rmin_sq + r11sq - r22sq
     if den < GQD_DENOMINATOR_ATOL:
@@ -252,11 +253,9 @@ def geometric_discord(rho: DensityMatrix4) -> float:
 
 
 def coherence_l1(rho: DensityMatrix4) -> float:
-    """l1-norm of coherence: sum of the magnitudes of all off-diagonal entries."""
-    w = abs(rho.rho14)
-    z = abs(rho.rho23)
-    # numpy's pairwise sum over the 16 moduli; only the anti-diagonal pairs are nonzero.
-    return (z + w) + (w + z)
+    """l1-norm of coherence: sum of the magnitudes of all off-diagonal
+    entries, which for an X state is ``2 * (|rho23| + |rho14|)``."""
+    return 2.0 * (abs(rho.rho23) + abs(rho.rho14))
 
 
 def measure_all(rho: DensityMatrix4, eta: float, kernel: float) -> MeasureRecord:

@@ -103,10 +103,10 @@ class XStateParams:
 
     def __post_init__(self) -> None:
         tol = 1e-9
-        if abs(self.kappa) > 1.0 + tol:
+        if not abs(self.kappa) <= 1.0 + tol:
             raise DomainError(f"|kappa| must be <= 1, got {self.kappa}")
         for g in (self.gamma1, self.gamma2, self.gamma3):
-            if abs(g) > 1.0 + tol:
+            if not abs(g) <= 1.0 + tol:
                 raise DomainError(f"|gamma_i| must be <= 1, got {g}")
         if self.gamma1 < self.gamma2 - 1e-12:
             raise DomainError(

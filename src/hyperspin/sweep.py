@@ -5,24 +5,24 @@ lexicographic order, which is the C order of a ``(phi, mu, tau, time)``
 array.  Every value of a row is an elementwise function of two things: the
 X-state entries of the production state ``rho0(phi)``, and the survival
 factor ``eta(mu, tau, t)``, whose kernel part depends on ``(tau, t)`` only.
-``run_sweep`` therefore keeps one set of state constants per phi, one kernel
-value per ``(tau, t)`` and one eta per ``(mu, tau, t)``, and runs the domain
-checks over every row before it returns.  The measures are never held for
-the whole grid: reading the rows or emitting them evaluates the measures as
-numpy columns over a bounded chunk of rows, renders that chunk and writes
-it, so memory depends on the chunk size and not on the number of rows.
+``run_sweep`` therefore keeps one set of state constants per phi and one
+kernel value per ``(tau, t)``, and runs the domain checks over every row
+before it returns.  Neither eta nor the measures are held for the whole
+grid: checking, reading or emitting the rows evaluates them as numpy
+columns over a bounded chunk of rows, renders that chunk and writes it, so
+memory depends on the chunk size and not on the number of rows.
 Rendering formats the strings that repeat once per chunk: the ``channel,
 phi, mu, tau, regime`` prefix per series and ``time, kernel, eta`` per
 ``(mu, tau, t)``.  CSV and JSON are rendered the same way, from one
 ``%`` template per column group.
 
 The columns equal the scalar path (``dephase`` then ``measure_all``) bit for
-bit, which the test suite and ``hyperspin check`` verify row by row.  Three
-rules keep them so:
+bit, which the test suite and ``hyperspin check`` verify row by row.  Both
+paths write squares as ``x * x`` and share the other arithmetic operation for
+operation; two rules keep the rest equal:
 
 * transcendental functions run per element on ``math``: numpy's SIMD
   ``exp`` and ``log2`` differ from libm in the last ulp on some inputs;
-* squares use Python's ``**`` (libm ``pow``), which is not always ``x * x``;
 * Python's ``max`` and ``min`` become ``_pymax`` and ``_pymin``, which make
   the same choice between signed zeros, so a ``-0`` renders where it did.
 """
@@ -33,16 +33,15 @@ import functools
 import hashlib
 import json
 import math
-import operator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .channel import PROB_ATOL, ChannelConfig, dephase, memory_kernel
+from .channel import PROB_ATOL, ChannelConfig, _survival, dephase, memory_kernel
 from .errors import DomainError, HyperspinError, UnknownPresetError
 from .measures import (
     DOMAIN_ATOL,
@@ -110,9 +109,9 @@ _CHUNK_ROWS = 1 << 12
 
 #: Most points one axis may have and most rows one sweep may have, checked
 #: before anything is allocated: about 20x the largest preset (h2b, 505,101
-#: rows).  A sweep keeps 8 bytes of eta per ``(mu, tau, time)`` point, at
-#: most 80 MB at the cap, and evaluates the measures a chunk of rows at a
-#: time.  Change it by assigning ``hyperspin.sweep.MAX_ROWS``.
+#: rows).  A sweep keeps 8 bytes of kernel per ``(tau, time)`` pair, at
+#: most 80 MB at the cap, and evaluates eta and the measures a chunk of rows
+#: at a time.  Change it by assigning ``hyperspin.sweep.MAX_ROWS``.
 MAX_ROWS = 10_000_000
 
 #: Steering classes indexed by the code ``(s_ab > 0) + 2 * (s_ba > 0)``.
@@ -270,11 +269,6 @@ def _pymin(a: Any, b: Any) -> np.ndarray:
     return np.where(b < a, b, a)
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` per element through Python's ``**`` (libm ``pow``)."""
-    return np.array(list(map(operator.pow, x.tolist(), repeat(2))))
-
-
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
     """``measures._binary_entropy`` per element, with ``math.log2``."""
     total = np.zeros_like(x)
@@ -311,7 +305,7 @@ def _state_constants(states: Iterable[DensityMatrix4]) -> dict[str, np.ndarray]:
         | (np.abs(r03) > 1.0 + DOMAIN_ATOL)
         | (np.abs(r30) > 1.0 + DOMAIN_ATOL)
     )
-    columns = (r14, r23, corner, bias, inner, _square(r30), _square(r33), bloch_bad)
+    columns = (r14, r23, corner, bias, inner, r30 * r30, r33 * r33, bloch_bad)
     return dict(zip(_STATE_FIELDS, columns))
 
 
@@ -330,7 +324,7 @@ def _dephased(
     z = st["r23"] * eta
     w_abs = np.abs(w)
     z_abs = np.abs(z)
-    conc = 2.0 * _pymax(_pymax(z_abs - w_abs, w_abs - z_abs), 0.0)
+    conc = 2.0 * np.abs(z_abs - w_abs)
     r11 = 2.0 * (z + w)
     r22 = 2.0 * (z - w)
     bad = ~((0.0 <= eta) & (eta <= 1.0 + PROB_ATOL))
@@ -350,8 +344,8 @@ def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> dict[str, np.n
     w_abs, z_abs, conc, r11, r22, _ = _dephased(st, eta)
 
     # steering
-    w2 = _square(w_abs)
-    z2 = _square(z_abs)
+    w2 = w_abs * w_abs
+    z2 = z_abs * z_abs
     corner, bias, inner = st["corner"], st["bias"], st["inner"]
     scale = 8.0 / SQRT3
     s_ab = _pymax(0.0, scale * _pymax(w2 - corner - bias, z2 - inner - bias))
@@ -362,8 +356,8 @@ def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> dict[str, np.n
     eof = _binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
 
     # geometric discord
-    r11sq = _square(r11)
-    r22sq = _square(r22)
+    r11sq = r11 * r11
+    r22sq = r22 * r22
     rmax_sq = _pymax(r22sq + st["r30sq"], st["r33sq"])
     rmin_sq = _pymin(r11sq, st["r33sq"])
     den = rmax_sq - rmin_sq + r11sq - r22sq
@@ -379,8 +373,7 @@ def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> dict[str, np.n
         "concurrence": conc,
         "eof": eof,
         "gqd": gqd,
-        # numpy's pairwise sum over the 16 moduli of the dephased matrix.
-        "coherence_l1": (z_abs + w_abs) + (w_abs + z_abs),
+        "coherence_l1": 2.0 * (z_abs + w_abs),
     }
 
 
@@ -401,34 +394,35 @@ _Chunk = tuple[list[Sequence], np.ndarray, list[Sequence], np.ndarray, list[Sequ
 @dataclass(frozen=True)
 class _Columns:
     """What a sweep's rows are computed from; row ``r`` is grid point ``r`` in
-    the C order of ``(phi, mu, tau, time)``."""
+    the C order of ``(phi, mu, tau, time)``.  Eta is computed a chunk at a
+    time from ``mu`` and ``kernel``; nothing is held per point."""
 
     grid: SweepGrid
     #: Regime label per tau.
     regimes: list[str]
     times: np.ndarray
+    mu: np.ndarray
     #: Per (tau, time), flattened.
     kernel: np.ndarray
-    #: Per (mu, tau, time) point, flattened.
-    eta: np.ndarray
     #: The ``_state_constants``, one entry per phi.
     states: dict[str, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.grid)
 
-    def _inputs(self) -> Iterator[tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]]:
-        """Per chunk of rows: the row indices, and each row's state constants
-        and eta."""
+    def _inputs(self) -> Iterator[tuple[np.ndarray, np.ndarray, dict, np.ndarray]]:
+        """Per chunk of rows: the row indices, and each row's ``(mu, tau,
+        time)`` point index, state constants and eta."""
         for start in range(0, len(self), _CHUNK_ROWS):
             rows = np.arange(start, min(start + _CHUNK_ROWS, len(self)))
-            i_state, i_point = np.divmod(rows, self.eta.size)
+            i_state, i_point = np.divmod(rows, self.mu.size * self.kernel.size)
+            i_mu, i_kernel = np.divmod(i_point, self.kernel.size)
             states = {name: col[i_state] for name, col in self.states.items()}
-            yield rows, states, self.eta[i_point]
+            yield rows, i_point, states, _survival(self.kernel[i_kernel], self.mu[i_mu])
 
     def check(self) -> None:
         """Raise the scalar path's error at the first row it would reject."""
-        for rows, states, eta in self._inputs():
+        for rows, _, states, eta in self._inputs():
             bad = _dephased(states, eta)[-1]
             if bad.any():
                 self._raise_at(int(rows[bad.argmax()]))
@@ -437,10 +431,12 @@ class _Columns:
         """The rows, with their measures evaluated, a chunk at a time."""
         g = self.grid
         n_tau = len(g.tau)
-        for rows, states, eta in self._inputs():
+        for rows, i_point, states, eta in self._inputs():
             measures = _measure_chunk(states, eta)
             series, series_of_row = np.unique(rows // self.times.size, return_inverse=True)
-            points, point_of_row = np.unique(rows % self.eta.size, return_inverse=True)
+            points, first, point_of_row = np.unique(
+                i_point, return_index=True, return_inverse=True
+            )
             i_phi, i_mu_tau = np.divmod(series, len(g.mu) * n_tau)
             i_mu, i_tau = np.divmod(i_mu_tau, n_tau)
             series_columns = [
@@ -453,7 +449,7 @@ class _Columns:
             point_columns = [
                 self.times[points % self.times.size].tolist(),
                 self.kernel[points % self.kernel.size].tolist(),
-                self.eta[points].tolist(),
+                eta[first].tolist(),
             ]
             measure_columns = [
                 _CLASS_NAMES[measures[name]].tolist()
@@ -468,8 +464,8 @@ class _Columns:
         grid, times = self.grid, self.times.tolist()
         shape = (len(grid.phi), len(grid.mu), len(grid.tau), len(times))
         i_phi, i_mu, i_tau, i_time = (int(i) for i in np.unravel_index(row, shape))
-        e = float(self.eta[row % self.eta.size])
         k = float(self.kernel[i_tau * len(times) + i_time])
+        e = _survival(k, grid.mu[i_mu])
         rho0 = density_matrix(channel_params(grid.channel), grid.phi[i_phi])
         try:
             measure_all(dephase(rho0, e), e, k)
@@ -583,10 +579,7 @@ def _evaluate(grid: SweepGrid) -> _Columns:
                 kernel.append(memory_kernel(t, cfg).k)
             except HyperspinError as exc:
                 raise _in_context(exc, grid.channel, grid.phi[0], grid.mu[0], tau, t) from exc
-    k = np.array(kernel)
-    k2 = k * k
-    eta = (k2 + (1.0 - k2) * np.array(grid.mu)[:, None]).ravel()
-    columns = _Columns(grid, regimes, np.array(times), k, eta, constants)
+    columns = _Columns(grid, regimes, *map(np.array, (times, grid.mu, kernel)), constants)
     columns.check()
     return columns
 

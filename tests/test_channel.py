@@ -17,6 +17,7 @@ from hyperspin import (
     JointProbabilities,
     NegativeTimeError,
     Regime,
+    XStateParams,
     channel_params,
     decoherence_factor,
     density_matrix,
@@ -164,6 +165,23 @@ def test_joint_probabilities_validation():
     bad[0, 0] = 0.7
     with pytest.raises(DomainError):
         JointProbabilities(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: flip_probability(float("nan")),
+        lambda: JointProbabilities(np.full((4, 4), np.nan)),
+        lambda: JointProbabilities("abc"),
+        lambda: JointProbabilities([[1, 2], [3]]),
+        lambda: XStateParams(float("nan"), 0.5, 0.1, 0.0),
+        lambda: XStateParams(0.0, float("nan"), 0.1, 0.0),
+    ],
+    ids=["nan-kernel", "nan-table", "non-numeric-table", "ragged-table", "nan-kappa", "nan-gamma"],
+)
+def test_range_checks_reject_nan_and_unreadable_input(call):
+    with pytest.raises(HyperspinError):
+        call()
 
 
 def test_kraus_identity_channel():

@@ -15,6 +15,8 @@ from hyperspin import (
     ChannelConfig,
     DomainError,
     SteeringClass,
+    SweepGrid,
+    TimeGrid,
     channel_params,
     coherence_l1,
     concurrence,
@@ -28,11 +30,13 @@ from hyperspin import (
     geometric_discord,
     measure_all,
     memory_kernel,
+    run_sweep,
     steering,
     steering_bounds,
     steering_operator,
 )
 from hyperspin.linalg import partial_trace
+from hyperspin.measures import GQD_DENOMINATOR_ATOL
 from hyperspin.production import DensityMatrix4
 
 HALF_PI = math.pi / 2.0
@@ -437,3 +441,47 @@ def test_hierarchy_chain_on_compact_grid():
                     chain = (rec.steering.s_ab, rec.concurrence, rec.gqd, rec.coherence_l1)
                     for lo, hi in zip(chain, chain[1:]):
                         assert not (lo > eps and hi <= eps)
+
+
+def _squared_measures(rho, square):
+    """``s_ab``, ``s_ba`` and ``gqd`` of ``rho``, every square written as ``square(x)``."""
+    corner, bias, inner = steering_bounds(rho)
+    w2 = square(abs(rho.rho14))
+    z2 = square(abs(rho.rho23))
+    scale = 8.0 / SQRT3
+    s_ab = max(0.0, scale * max(w2 - corner - bias, z2 - inner - bias))
+    s_ba = max(0.0, scale * max(w2 - corner + bias, z2 - inner + bias))
+    f = fano_bloch(rho)
+    r11sq, r22sq, r33sq = square(f.r11), square(f.r22), square(f.r33)
+    rmax_sq = max(r22sq + square(f.r30), r33sq)
+    rmin_sq = min(r11sq, r33sq)
+    den = rmax_sq - rmin_sq + r11sq - r22sq
+    num = max(r11sq * rmax_sq - r22sq * rmin_sq, 0.0)
+    gqd = 0.0 if den < GQD_DENOMINATOR_ATOL else 0.5 * math.sqrt(num / den)
+    return tuple(map(float.hex, (s_ab, s_ba, gqd)))
+
+
+def test_squares_are_products_on_both_paths():
+    # Scan a fixed grid for rows where ``x ** 2`` (libm pow) and ``x * x``
+    # give different bits; there both paths must give the product's bits.
+    grid = SweepGrid(
+        "lambda",
+        tuple(k * math.pi / 36 for k in range(37)),
+        (0.0, 0.5, 0.8),
+        (0.1, 5.0),
+        TimeGrid(0.0, 2.0, 0.05),
+    )
+    states = {phi: density_matrix(LAMBDA, phi) for phi in grid.phi}
+    names = ("s_ab", "s_ba", "gqd")
+    seen = set()
+    for row in run_sweep(grid).rows:
+        rho = dephase(states[row.phi], row.record.eta)
+        want = _squared_measures(rho, lambda x: x * x)
+        by_pow = _squared_measures(rho, lambda x: x**2)
+        if want == by_pow:
+            continue
+        seen.update(name for name, a, b in zip(names, want, by_pow) if a != b)
+        for record in (measure_all(rho, row.record.eta, row.record.kernel), row.record):
+            got = (record.steering.s_ab, record.steering.s_ba, record.gqd)
+            assert tuple(map(float.hex, got)) == want, (row, got)
+    assert seen == set(names)

@@ -300,18 +300,27 @@ def _phi_grid(n_phi):
     return SweepGrid("lambda", phis, (0.8,), (0.1,), TimeGrid(0.0, 1.0, 0.01))
 
 
+def _mu_grid(n_mu):
+    mus = tuple(k / (n_mu - 1) for k in range(n_mu))
+    return SweepGrid("lambda", (HALF_PI,), mus, (0.1,), TimeGrid(0.0, 5.0, 0.01))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_memory_does_not_grow_with_rows(monkeypatch, fmt):
     monkeypatch.setattr(sweep_module, "_CHUNK_ROWS", 512)
-    peaks = []
-    for n_phi in (20, 80):  # 2,020 rows (about four chunks), then four times as many
-        tracemalloc.start()
-        try:
-            emit(run_sweep(_phi_grid(n_phi)), fmt, _Discard())
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 1.2 * peaks[0], peaks
+    # A phi sweep (an ``a`` panel): 2,020 rows, about four chunks; and a mu
+    # sweep at one phi (a ``b`` panel): 20,040 rows, one per (mu, t) point.
+    # Each then again with four times as many rows.
+    for grid_of, sizes in ((_phi_grid, (20, 80)), (_mu_grid, (40, 160))):
+        peaks = []
+        for n in sizes:
+            tracemalloc.start()
+            try:
+                emit(run_sweep(grid_of(n)), fmt, _Discard())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0], (grid_of.__name__, peaks)
 
 
 def test_repeated_emits_give_the_same_bytes(monkeypatch):
