@@ -178,8 +178,11 @@ class JointProbabilities:
         t = as_matrix(self.table, 4, float).copy()
         if np.any(t < -PROB_ATOL):
             raise DomainError(f"negative joint probability {t.min():.3e}")
-        if not abs(t.sum() - 1.0) <= PROB_ATOL:
-            raise DomainError(f"joint probabilities sum to {t.sum():.12g}, not 1")
+        # A sum past the float range is inf, and the check below rejects it.
+        with np.errstate(over="ignore"):
+            total = t.sum()
+        if not abs(total - 1.0) <= PROB_ATOL:
+            raise DomainError(f"joint probabilities sum to {total:.12g}, not 1")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 

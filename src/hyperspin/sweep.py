@@ -11,10 +11,11 @@ before it returns.  Neither eta nor the measures are held for the whole
 grid: checking, reading or emitting the rows evaluates them as numpy
 columns over a bounded chunk of rows, renders that chunk and writes it, so
 memory depends on the chunk size and not on the number of rows.
-Rendering formats the strings that repeat once per chunk: the ``channel,
-phi, mu, tau, regime`` prefix per series and ``time, kernel, eta`` per
-``(mu, tau, t)``.  CSV and JSON are rendered the same way, from one
-``%`` template per column group.
+Rendering formats each string that repeats once where it can: the
+``channel, phi, mu, tau, regime`` prefix once per series in a chunk, and
+``time, kernel, eta`` once per run of chunks that cover the same ``(mu,
+tau, t)`` points, so a phi sweep renders its time axis once.  CSV and JSON
+are rendered the same way, from one ``%`` template per column group.
 
 The columns equal the scalar path (``dephase`` then ``measure_all``) bit for
 bit, which the test suite and ``hyperspin check`` verify row by row.  Both
@@ -30,7 +31,6 @@ operation; two rules keep the rest equal:
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -105,7 +105,18 @@ _ROW_FORMAT = _csv_fields(COLUMNS)
 MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 
 #: Rows evaluated, rendered and written per chunk; sets a sweep's peak memory.
-_CHUNK_ROWS = 1 << 12
+#: Process peak RSS in MB through the CLI, then the median seconds of 5
+#: in-process ``emit`` runs (alternating, a shared 2-core x86-64 VM, Python
+#: 3.11, numpy 2.4; runs of the same code differ by 10-30%):
+#:
+#:     rows    h1a CSV      h1a JSON     h2b CSV      h2b JSON
+#:     1,024   31.8  0.29   36.5  0.99   32.0  2.23   36.8  7.07
+#:     2,048   32.8  0.27   38.4  0.96   33.9  2.25   39.6  6.98
+#:     4,096   35.2  0.28   42.9  1.00   37.4  2.34   45.5  7.32
+#:
+#: A chunk renders its ``time, kernel, eta`` strings only when they are not
+#: those of the chunk before, so small chunks cost a phi sweep little.
+_CHUNK_ROWS = 1 << 11
 
 #: Most points one axis may have and most rows one sweep may have, checked
 #: before anything is allocated: about 20x the largest preset (h2b, 505,101
@@ -387,7 +398,9 @@ def _in_context(
 
 #: A chunk of consecutive rows: the distinct series it covers (one list per
 #: series column), each row's index into them, the distinct points likewise,
-#: and one list per measure column.
+#: and one list per measure column.  A chunk that covers the same points as
+#: the chunk before carries the very same point lists, so a renderer may
+#: reuse what it made of them.
 _Chunk = tuple[list[Sequence], np.ndarray, list[Sequence], np.ndarray, list[Sequence]]
 
 
@@ -431,10 +444,11 @@ class _Columns:
         """The rows, with their measures evaluated, a chunk at a time."""
         g = self.grid
         n_tau = len(g.tau)
+        points = point_columns = None
         for rows, i_point, states, eta in self._inputs():
             measures = _measure_chunk(states, eta)
             series, series_of_row = np.unique(rows // self.times.size, return_inverse=True)
-            points, first, point_of_row = np.unique(
+            chunk_points, first, point_of_row = np.unique(
                 i_point, return_index=True, return_inverse=True
             )
             i_phi, i_mu_tau = np.divmod(series, len(g.mu) * n_tau)
@@ -446,11 +460,15 @@ class _Columns:
                 _pick(g.tau, i_tau),
                 _pick(self.regimes, i_tau),
             ]
-            point_columns = [
-                self.times[points % self.times.size].tolist(),
-                self.kernel[points % self.kernel.size].tolist(),
-                eta[first].tolist(),
-            ]
+            # A point's values depend on its index alone, so a chunk with the
+            # points of the chunk before hands on the same lists.
+            if points is None or not np.array_equal(chunk_points, points):
+                points = chunk_points
+                point_columns = [
+                    self.times[points % self.times.size].tolist(),
+                    self.kernel[points % self.kernel.size].tolist(),
+                    eta[first].tolist(),
+                ]
             measure_columns = [
                 _CLASS_NAMES[measures[name]].tolist()
                 if name == "steering_class"
@@ -532,14 +550,19 @@ class _Format:
         filled = map(template.__mod__, zip(*self._converted(columns, values)))
         return np.array(list(filled), dtype=object)
 
-    def render(self, chunk: _Chunk) -> str:
-        """The chunk's rows as text; each series and each point is rendered
-        once per chunk."""
-        series, series_of_row, points, point_of_row, measures = chunk
-        prefixes = self._fill(self.series, _SERIES_COLUMNS, series)[series_of_row].tolist()
-        middles = self._fill(self.point, _POINT_COLUMNS, points)[point_of_row].tolist()
-        lines = zip(prefixes, middles, *self._converted(_MEASURE_COLUMNS, measures))
-        return "".join(map(self.line.__mod__, lines))
+    def render(self, chunks: Iterable[_Chunk]) -> Iterator[str]:
+        """Each chunk's rows as text.  Each series is rendered once per
+        chunk, and each block of points once per run of chunks that carry
+        the same point lists."""
+        points = rendered = None
+        for series, series_of_row, chunk_points, point_of_row, measures in chunks:
+            prefixes = self._fill(self.series, _SERIES_COLUMNS, series)[series_of_row].tolist()
+            if chunk_points is not points:
+                points = chunk_points
+                rendered = self._fill(self.point, _POINT_COLUMNS, points)
+            middles = rendered[point_of_row].tolist()
+            lines = zip(prefixes, middles, *self._converted(_MEASURE_COLUMNS, measures))
+            yield "".join(map(self.line.__mod__, lines))
 
 
 _CSV = _Format(
@@ -589,20 +612,45 @@ class SweepResult:
 
     ``run_sweep`` keeps only what the rows are computed from; reading
     ``rows`` (built on first access) or emitting evaluates the measures a
-    chunk of rows at a time.  A result built from explicit rows renders
-    through the same chunks.
+    chunk of rows at a time, and ``metadata`` is built on first read.  A
+    result built from explicit rows keeps the metadata it is given and
+    renders through the same chunks.
     """
 
     def __init__(self, rows: Iterable[SweepRow], metadata: dict[str, Any]) -> None:
         self._rows: list[SweepRow] | None = list(rows)
         self._columns: _Columns | None = None
+        # Stored on the instance, so the lazy ``metadata`` below never runs.
         self.metadata = metadata
 
     @classmethod
-    def _of_columns(cls, columns: _Columns, metadata: dict[str, Any]) -> SweepResult:
-        result = cls((), metadata)
+    def _of_columns(
+        cls, columns: _Columns, measures: tuple[str, ...], preset: str | None
+    ) -> SweepResult:
+        result = cls.__new__(cls)
         result._rows, result._columns = None, columns
+        result._stamp = preset, measures
         return result
+
+    @functools.cached_property
+    def metadata(self) -> dict[str, Any]:
+        """Built on first read for a computed result: the grid hash needs
+        ``hashlib``, which loads OpenSSL, and only JSON output shows it."""
+        import hashlib
+
+        preset, measures = self._stamp
+        spec = self._columns.grid.spec()
+        grid_hash = hashlib.sha256(
+            json.dumps(spec, sort_keys=True).encode("utf-8")
+        ).hexdigest()[:12]
+        return {
+            "preset": preset,
+            "grid_hash": grid_hash,
+            "kernel_variant": KERNEL_VARIANT,
+            "version": __version__,
+            "measures": list(measures),
+            "grid": spec,
+        }
 
     @property
     def rows(self) -> list[SweepRow]:
@@ -640,6 +688,15 @@ def run_sweep(
     ``workers`` must be an integer >= 1 and changes nothing: evaluation is
     serial.
     """
+    return _run(grid, measures, workers, None)
+
+
+def _run(
+    grid: SweepGrid,
+    measures: Sequence[str] | None,
+    workers: int | None,
+    preset: str | None,
+) -> SweepResult:
     selected = tuple(measures) if measures is not None else MEASURE_NAMES
     for name in selected:
         if name not in MEASURE_NAMES:
@@ -648,28 +705,13 @@ def run_sweep(
         raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     if len(grid) > MAX_ROWS:
         raise DomainError(f"grid has {len(grid)} rows, more than MAX_ROWS = {MAX_ROWS}")
-    columns = _evaluate(grid)
-    spec = grid.spec()
-    grid_hash = hashlib.sha256(
-        json.dumps(spec, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:12]
-    metadata = {
-        "preset": None,
-        "grid_hash": grid_hash,
-        "kernel_variant": KERNEL_VARIANT,
-        "version": __version__,
-        "measures": list(selected),
-        "grid": spec,
-    }
-    return SweepResult._of_columns(columns, metadata)
+    return SweepResult._of_columns(_evaluate(grid), selected, preset)
 
 
 def run_preset(preset_id: str, workers: int | None = None) -> SweepResult:
     """Run a figure preset and stamp its id into the metadata."""
     preset = figure_preset(preset_id)
-    result = run_sweep(preset.grid, preset.measures, workers)
-    result.metadata["preset"] = preset.preset_id
-    return result
+    return _run(preset.grid, preset.measures, workers, preset.preset_id)
 
 
 def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
@@ -683,7 +725,7 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
     written a chunk at a time.
     """
     if fmt == "csv":
-        chunks: Iterable[str] = chain([CSV_HEADER + "\n"], map(_CSV.render, result._chunks()))
+        chunks: Iterable[str] = chain([CSV_HEADER + "\n"], _CSV.render(result._chunks()))
     elif fmt == "json":
         chunks = _json_document(result)
     else:
@@ -695,17 +737,19 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
     return _write(chunks, sink)
 
 
-def _json_document(result: SweepResult) -> Iterable[str]:
-    """The JSON text in chunks; the head is rendered before any is written."""
+def _json_document(result: SweepResult) -> Iterator[str]:
+    """The JSON text in chunks; no chunk's text is kept once it is handed on."""
     empty = json.dumps({"metadata": result.metadata, "records": []}, indent=1) + "\n"
+    if not len(result):
+        yield empty
+        return
     # "records" is the last member, so its "[]" is the last one in the text.
     head, _, tail = empty.rpartition("[]")
-    records = map(_JSON.render, result._chunks())
-    first = next(records, None)
-    if first is None:
-        return [empty]
+    records = _JSON.render(result._chunks())
     # The first record has no record before it to be separated from.
-    return chain([head + "[" + first[1:]], records, ["\n ]" + tail])
+    yield head + "[" + next(records)[1:]
+    yield from records
+    yield "\n ]" + tail
 
 
 def _write(chunks: Iterable[str], fh: IO[str]) -> int:
@@ -714,6 +758,8 @@ def _write(chunks: Iterable[str], fh: IO[str]) -> int:
         fh.write(chunk)
         # UTF-8 spends one byte per ASCII character; encode only the rest.
         nbytes += len(chunk) if chunk.isascii() else len(chunk.encode("utf-8"))
+        # Free this chunk's text before the next one is made.
+        del chunk
     return nbytes
 
 

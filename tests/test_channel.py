@@ -172,12 +172,21 @@ def test_joint_probabilities_validation():
     [
         lambda: flip_probability(float("nan")),
         lambda: JointProbabilities(np.full((4, 4), np.nan)),
+        lambda: JointProbabilities(np.full((4, 4), 1e308)),
         lambda: JointProbabilities("abc"),
         lambda: JointProbabilities([[1, 2], [3]]),
         lambda: XStateParams(float("nan"), 0.5, 0.1, 0.0),
         lambda: XStateParams(0.0, float("nan"), 0.1, 0.0),
     ],
-    ids=["nan-kernel", "nan-table", "non-numeric-table", "ragged-table", "nan-kappa", "nan-gamma"],
+    ids=[
+        "nan-kernel",
+        "nan-table",
+        "overflowing-table",
+        "non-numeric-table",
+        "ragged-table",
+        "nan-kappa",
+        "nan-gamma",
+    ],
 )
 def test_range_checks_reject_nan_and_unreadable_input(call):
     with pytest.raises(HyperspinError):

@@ -1,7 +1,10 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -29,9 +32,10 @@ from hyperspin import (
     run_preset,
     run_sweep,
 )
+from hyperspin import __version__
 from hyperspin.channel import ChannelConfig
 from hyperspin.selfcheck import _suite_sweep_oracle
-from hyperspin.sweep import CSV_HEADER, FLOAT_FORMAT
+from hyperspin.sweep import CSV_HEADER, FLOAT_FORMAT, KERNEL_VARIANT, MEASURE_NAMES
 
 HALF_PI = math.pi / 2.0
 
@@ -324,22 +328,119 @@ def test_sweep_memory_does_not_grow_with_rows(monkeypatch, fmt):
 
 
 def test_repeated_emits_give_the_same_bytes(monkeypatch):
-    grid = small_grid(phi=(0.0, 0.7, HALF_PI), mu=(0.0, 0.5, 0.8), tau=(0.1, 5.0))
-    result = run_sweep(grid)
-    outputs = []
-    for fmt in ("csv", "json", "csv", "json"):
-        sink = io.StringIO()
-        emit(result, fmt, sink)
-        outputs.append(sink.getvalue())
-    assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
-    assert outputs[0].splitlines()[1:] == [row.csv_line() for row in result.rows]
-    # Chunk boundaries inside series and points leave the bytes as they are.
-    monkeypatch.setattr(sweep_module, "_CHUNK_ROWS", 7)
-    for fmt, want in (("csv", outputs[0]), ("json", outputs[1])):
-        for source in (run_sweep(grid), SweepResult(result.rows, result.metadata)):
+    # A phi sweep over three default-size chunks, the later ones covering the
+    # points of the one before; and a grid whose 7-row chunks end inside
+    # series and points.
+    cases = (
+        (_phi_grid(50), sweep_module._CHUNK_ROWS),
+        (small_grid(phi=(0.0, 0.7, HALF_PI), mu=(0.0, 0.5, 0.8), tau=(0.1, 5.0)), 7),
+    )
+    for grid, chunk_rows in cases:
+        result = run_sweep(grid)
+        outputs = []
+        for fmt in ("csv", "json", "csv", "json"):
             sink = io.StringIO()
-            emit(source, fmt, sink)
-            assert sink.getvalue() == want
+            emit(result, fmt, sink)
+            outputs.append(sink.getvalue())
+        assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+        assert outputs[0].splitlines()[1:] == [row.csv_line() for row in result.rows]
+        with monkeypatch.context() as patched:
+            patched.setattr(sweep_module, "_CHUNK_ROWS", chunk_rows)
+            for fmt, want in (("csv", outputs[0]), ("json", outputs[1])):
+                for source in (run_sweep(grid), SweepResult(result.rows, result.metadata)):
+                    sink = io.StringIO()
+                    emit(source, fmt, sink)
+                    assert sink.getvalue() == want, (chunk_rows, fmt)
+
+
+def test_each_point_block_is_rendered_once(monkeypatch):
+    rendered = []
+    real_fill = sweep_module._Format._fill
+
+    def counting(self, template, columns, values):
+        if columns is sweep_module._POINT_COLUMNS:
+            rendered.append(len(values[0]))
+        return real_fill(self, template, columns, values)
+
+    monkeypatch.setattr(sweep_module._Format, "_fill", counting)
+    # h1a: 181 series of the same 501 points, and every chunk covers all 501.
+    h1a = run_preset("h1a")
+    assert len(h1a) > 5 * sweep_module._CHUNK_ROWS
+    for fmt in ("csv", "json"):
+        rendered.clear()
+        emit(h1a, fmt, _Discard())
+        assert rendered == [501], fmt
+    # A mu sweep at one phi: every row is its own point, rendered once.
+    mu_sweep = run_sweep(_mu_grid(5))
+    rendered.clear()
+    emit(mu_sweep, "csv", _Discard())
+    assert sum(rendered) == len(mu_sweep)
+
+
+def test_h1a_csv_working_set_is_bounded():
+    tracemalloc.start()
+    try:
+        emit(run_preset("h1a"), "csv", _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--figure", "m08", "--format", "csv"],
+        ["measure", "--channel", "lambda", "--phi", "1.5707963", "--mu", "0.8",
+         "--tau", "0.1", "--time", "1.5"],
+    ],  # fmt: skip
+    ids=["sweep-csv", "measure"],
+)
+def test_no_openssl_where_no_hash_is_shown(tmp_path, argv):
+    # In a fresh interpreter: this one has hashlib loaded already.
+    code = (
+        "import sys\n"
+        "from hyperspin.cli import main\n"
+        f"assert main({argv + ['--out', str(tmp_path / 'out')]!r}) == 0\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def _metadata_built_eagerly(grid, measures, preset):
+    """The metadata as ``run_sweep`` and ``run_preset`` built it when the grid
+    was hashed before returning."""
+    spec = grid.spec()
+    grid_hash = hashlib.sha256(json.dumps(spec, sort_keys=True).encode("utf-8")).hexdigest()
+    return {
+        "preset": preset,
+        "grid_hash": grid_hash[:12],
+        "kernel_variant": KERNEL_VARIANT,
+        "version": __version__,
+        "measures": list(measures),
+        "grid": spec,
+    }
+
+
+def test_metadata_read_late_is_the_eager_dict():
+    grid = small_grid()
+    m08 = figure_preset("m08")
+    cases = (
+        (run_sweep(grid), _metadata_built_eagerly(grid, MEASURE_NAMES, None)),
+        (run_sweep(grid, ("gqd",)), _metadata_built_eagerly(grid, ("gqd",), None)),
+        (run_preset("m08"), _metadata_built_eagerly(m08.grid, m08.measures, "m08")),
+    )
+    for result, want in cases:
+        assert result.metadata == want
+        assert list(result.metadata) == list(want)
+        assert result.metadata is result.metadata
+    assert run_preset("m08").metadata["grid_hash"] == "4562a2682cfd"
+    given = {"preset": "x"}
+    assert SweepResult([], given).metadata is given
 
 
 # Patched layers that make the scalar path raise: a kernel above 1 (eta check),
