@@ -6,8 +6,8 @@ Run from the root of a checkout::
 
 Each case runs ``python -m hyperspin sweep --figure P --format F --out FILE``
 for P in m08, nm08, h1a, h2b and F in csv, json, plus one ``measure`` call,
-as a fresh process on this checkout's ``src``.  The cases alternate, round
-after round, so a drift of the host spreads over all of them.  A case's peak
+as a fresh process on this checkout's ``src``.  The cases alternate over
+three rounds, so a drift of the host spreads over all of them.  A case's peak
 memory is the ``ru_maxrss`` that ``wait4`` reports for its process.  That
 figure also counts the spawning process's resident memory at the time of the
 spawn, so this script imports nothing beyond the standard library and stays
@@ -28,6 +28,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+RUNS = 3
 MEASURE = ["measure", "--channel", "lambda", "--phi", "1.5707963", "--mu", "0.8",
            "--tau", "0.1", "--time", "1.5"]  # fmt: skip
 
@@ -68,21 +69,18 @@ def _summary(values: list[float], digits: int) -> dict[str, float]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--runs", type=int, default=3, help="runs per case (default 3)")
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
     with tempfile.TemporaryDirectory() as tmp:
         cases = _cases(tmp)
         samples: dict[str, list[tuple[float, float]]] = {name: [] for name in cases}
-        for _ in range(args.runs):
+        for _ in range(RUNS):
             for name, argv in cases.items():
                 samples[name].append(_run(argv))
     report = {
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
-        "runs": args.runs,
+        "runs": RUNS,
         "cases": {
             name: {
                 "wall_s": _summary([wall for wall, _ in runs], 4),

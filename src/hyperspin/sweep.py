@@ -738,18 +738,29 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
 
 
 def _json_document(result: SweepResult) -> Iterator[str]:
-    """The JSON text in chunks; no chunk's text is kept once it is handed on."""
+    """The JSON text in chunks.
+
+    The head and the first records are rendered before any is written, so a
+    result whose metadata or first rows cannot be rendered leaves a sink
+    file as it was.
+    """
     empty = json.dumps({"metadata": result.metadata, "records": []}, indent=1) + "\n"
-    if not len(result):
-        yield empty
-        return
+    records = _JSON.render(result._chunks())
+    first = next(records, None)
+    if first is None:
+        return iter([empty])
     # "records" is the last member, so its "[]" is the last one in the text.
     head, _, tail = empty.rpartition("[]")
-    records = _JSON.render(result._chunks())
+    return _records_in(head + "[", [first], records, "\n ]" + tail)
+
+
+def _records_in(head: str, first: list[str], rest: Iterator[str], tail: str) -> Iterator[str]:
+    """``head``, the records, then ``tail``; no record text is kept once handed on."""
+    yield head
     # The first record has no record before it to be separated from.
-    yield head + "[" + next(records)[1:]
-    yield from records
-    yield "\n ]" + tail
+    yield first.pop()[1:]
+    yield from rest
+    yield tail
 
 
 def _write(chunks: Iterable[str], fh: IO[str]) -> int:

@@ -234,6 +234,19 @@ def test_emit_to_path(tmp_path):
     assert nbytes == len(target.read_bytes())
 
 
+def test_unrenderable_json_leaves_the_file_as_it_was(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+    rows = run_sweep(small_grid()).rows
+    for metadata in ({"note": object()}, {}):
+        # The first has metadata json cannot dump; the second a first row
+        # whose phi is not a number.
+        bad_rows = rows if metadata else [dataclasses.replace(rows[0], phi="x")] + rows[1:]
+        with pytest.raises(TypeError):
+            emit(SweepResult(bad_rows, metadata), "json", target)
+        assert target.read_text() == "old\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_counts_the_bytes_it_writes(tmp_path, fmt):
     computed = run_sweep(small_grid())
@@ -328,29 +341,38 @@ def test_sweep_memory_does_not_grow_with_rows(monkeypatch, fmt):
 
 
 def test_repeated_emits_give_the_same_bytes(monkeypatch):
-    # A phi sweep over three default-size chunks, the later ones covering the
-    # points of the one before; and a grid whose 7-row chunks end inside
-    # series and points.
-    cases = (
-        (_phi_grid(50), sweep_module._CHUNK_ROWS),
-        (small_grid(phi=(0.0, 0.7, HALF_PI), mu=(0.0, 0.5, 0.8), tau=(0.1, 5.0)), 7),
-    )
-    for grid, chunk_rows in cases:
-        result = run_sweep(grid)
-        outputs = []
-        for fmt in ("csv", "json", "csv", "json"):
+    grid = small_grid(phi=(0.0, 0.7, HALF_PI), mu=(0.0, 0.5, 0.8), tau=(0.1, 5.0))
+    result = run_sweep(grid)
+    outputs = []
+    for fmt in ("csv", "json", "csv", "json"):
+        sink = io.StringIO()
+        emit(result, fmt, sink)
+        outputs.append(sink.getvalue())
+    assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+    assert outputs[0].splitlines()[1:] == [row.csv_line() for row in result.rows]
+    # Chunk boundaries inside series and points leave the bytes as they are.
+    monkeypatch.setattr(sweep_module, "_CHUNK_ROWS", 7)
+    for fmt, want in (("csv", outputs[0]), ("json", outputs[1])):
+        for source in (run_sweep(grid), SweepResult(result.rows, result.metadata)):
             sink = io.StringIO()
-            emit(result, fmt, sink)
-            outputs.append(sink.getvalue())
-        assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
-        assert outputs[0].splitlines()[1:] == [row.csv_line() for row in result.rows]
-        with monkeypatch.context() as patched:
-            patched.setattr(sweep_module, "_CHUNK_ROWS", chunk_rows)
-            for fmt, want in (("csv", outputs[0]), ("json", outputs[1])):
-                for source in (run_sweep(grid), SweepResult(result.rows, result.metadata)):
-                    sink = io.StringIO()
-                    emit(source, fmt, sink)
-                    assert sink.getvalue() == want, (chunk_rows, fmt)
+            emit(source, fmt, sink)
+            assert sink.getvalue() == want
+
+
+def test_reused_point_strings_give_the_row_bytes():
+    # A phi sweep over three default-size chunks, each covering the points of
+    # the chunk before, so the later ones reuse the rendered point strings.
+    result = run_sweep(_phi_grid(50))
+    assert len(result) > 2 * sweep_module._CHUNK_ROWS
+    explicit = SweepResult(result.rows, result.metadata)
+    for fmt in ("csv", "json"):
+        computed, rows = io.StringIO(), io.StringIO()
+        emit(result, fmt, computed)
+        emit(explicit, fmt, rows)
+        assert computed.getvalue() == rows.getvalue(), fmt
+        if fmt == "csv":
+            lines = computed.getvalue().splitlines()[1:]
+            assert lines == [row.csv_line() for row in result.rows]
 
 
 def test_each_point_block_is_rendered_once(monkeypatch):
