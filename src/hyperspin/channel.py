@@ -24,13 +24,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .errors import DomainError, InvalidKernelError, NegativeTimeError
-from .linalg import PAULI, Array, as_matrix
 from .production import DensityMatrix4
+
+if TYPE_CHECKING:
+    from .linalg import Array
 
 BOUNDARY_ATOL = 1e-9
 KERNEL_LIMIT_V = 1e-6
@@ -175,6 +175,10 @@ class JointProbabilities:
     table: Array = field(repr=False)
 
     def __post_init__(self) -> None:
+        import numpy as np
+
+        from .linalg import as_matrix
+
         t = as_matrix(self.table, 4, float).copy()
         if np.any(t < -PROB_ATOL):
             raise DomainError(f"negative joint probability {t.min():.3e}")
@@ -194,6 +198,8 @@ def joint_probabilities(p: float, mu: float) -> JointProbabilities:
     single-qubit distribution (1-p, 0, 0, p); only the four (identity, z)
     combinations can be populated.
     """
+    import numpy as np
+
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p}")
     if not 0.0 <= mu <= 1.0:
@@ -210,6 +216,10 @@ def kraus_apply(rho: DensityMatrix4, jp: JointProbabilities) -> DensityMatrix4:
     zero weight contribute nothing but the loop is written against the full
     sum so channels with nonzero x/y weights reuse it unchanged.
     """
+    import numpy as np
+
+    from .linalg import PAULI
+
     out = np.zeros((4, 4), dtype=complex)
     m = rho.matrix
     for i in range(4):

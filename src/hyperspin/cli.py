@@ -22,13 +22,13 @@ from .errors import (
     UnknownPresetError,
 )
 from .production import channel_params
-from .selfcheck import run_checks
 from .sweep import (
     CSV_HEADER,
     SweepGrid,
     TimeGrid,
     check_range,
     emit,
+    point_row,
     run_preset,
     run_sweep,
 )
@@ -169,7 +169,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
 def _cmd_measure(args: argparse.Namespace) -> int:
     point = TimeGrid(args.time, args.time, 1.0)
     grid = SweepGrid(args.channel, (_resolve_phi(args),), (args.mu,), (args.tau,), point)
-    row = run_sweep(grid).rows[0]
+    row = point_row(grid)
     if args.format == "json":
         payload = json.dumps(row.as_dict()) + "\n"
     else:
@@ -197,6 +197,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(_: argparse.Namespace) -> int:
+    # The suites load numpy; the other commands never import them.
+    from .selfcheck import run_checks
+
     suites = run_checks()
     all_ok = True
     for suite in suites:

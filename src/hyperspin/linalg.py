@@ -4,6 +4,10 @@ Everything here is a pure function over small numpy arrays.  The whole
 problem lives in dimension 4 (two qubits), so no general N-dimensional
 machinery is provided: fixed sizes keep every routine exhaustively
 testable.  All inputs are O(1) in magnitude, so tolerances are absolute.
+
+Only the matrix oracles use this module, and they import it when they are
+called, so the scalar closed forms, ``import hyperspin`` and ``hyperspin
+measure`` load neither it nor numpy.
 """
 
 from __future__ import annotations

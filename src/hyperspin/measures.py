@@ -13,14 +13,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Literal
 
 from .channel import PROB_ATOL
 from .errors import DomainError
-from .linalg import Array, partial_trace
 from .production import DensityMatrix4, HyperonChannel, xstate_params
+
+if TYPE_CHECKING:
+    from .linalg import Array
 
 SQRT3 = math.sqrt(3.0)
 GQD_DENOMINATOR_ATOL = 1e-14
@@ -100,6 +100,10 @@ def steering_operator(
     ``rho``; it is positive exactly when the partial transpose of ``tau``
     has a negative eigenvalue.
     """
+    import numpy as np
+
+    from .linalg import partial_trace
+
     m = rho.matrix
     eye = np.eye(2, dtype=complex)
     if direction == "ab":

@@ -18,6 +18,11 @@ The closed-form diagonalization uses the radicand
 which is what the analytic eigenvalue problem of the correlation block
 yields; ``numeric_xstate_params`` re-derives the same numbers from a dense
 eigensolver and is kept as a permanent cross-check.
+
+The closed forms run on ``math`` alone.  numpy is imported by the matrix
+representations only, when they are called: the validated constructor
+``DensityMatrix4(matrix)``, ``DensityMatrix4.matrix``, ``phi_matrix`` and
+``numeric_xstate_params``.
 """
 
 from __future__ import annotations
@@ -26,9 +31,7 @@ import cmath
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from .errors import (
     DomainError,
@@ -36,7 +39,9 @@ from .errors import (
     NotXStateError,
     UnknownChannelError,
 )
-from .linalg import HERMITICITY_ATOL, Array, as_matrix, is_hermitian
+
+if TYPE_CHECKING:
+    from .linalg import Array
 
 PHI_ATOL = 1e-12
 DISCRIMINANT_ATOL = 1e-12
@@ -161,6 +166,10 @@ class DensityMatrix4:
     rho23: complex
 
     def __init__(self, matrix: Any) -> None:
+        import numpy as np
+
+        from .linalg import HERMITICITY_ATOL, as_matrix, is_hermitian
+
         m = as_matrix(matrix, 4)
         # A modulus past the float range is inf, so it still fails its check.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -225,6 +234,8 @@ class DensityMatrix4:
     @cached_property
     def matrix(self) -> Array:
         """The state as a read-only complex 4x4 array in the sigma_z product basis."""
+        import numpy as np
+
         m = np.zeros((4, 4), dtype=complex)
         m[0, 0] = self.rho11
         m[1, 1] = self.rho22
@@ -274,6 +285,8 @@ def phi_matrix(ch: HyperonChannel, phi: float) -> Array:
     Row/column 0 is the normalization slot; the only populated entries are
     the transverse polarizations and the xx, yy, zz, xz=zx correlations.
     """
+    import numpy as np
+
     phi = _check_phi(phi)
     u = ch.upsilon_psi
     den = _denominator(ch, phi)
@@ -331,6 +344,8 @@ def numeric_xstate_params(ch: HyperonChannel, phi: float) -> XStateParams:
     off a numeric eigensolver instead of the closed form, and relabels the
     out-of-plane yy correlation as gamma3.
     """
+    import numpy as np
+
     phi = _check_phi(phi)
     f = phi_matrix(ch, phi)
     block = np.array([[f[1, 1], f[1, 3]], [f[3, 1], f[3, 3]]])

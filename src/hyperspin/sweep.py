@@ -17,6 +17,11 @@ Rendering formats each string that repeats once where it can: the
 tau, t)`` points, so a phi sweep renders its time axis once.  CSV and JSON
 are rendered the same way, from one ``%`` template per column group.
 
+numpy is imported inside the functions that use it, so importing this
+module does not load it.  Nor does ``point_row``, which evaluates the one
+row of a one-point grid (``hyperspin measure``) on the scalar path that
+also raises the engine's errors.
+
 The columns equal the scalar path (``dephase`` then ``measure_all``) bit for
 bit, which the test suite and ``hyperspin check`` verify row by row.  Both
 paths write squares as ``x * x`` and share the other arithmetic operation for
@@ -36,9 +41,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, NoReturn, Sequence
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from ._version import __version__
 from .channel import PROB_ATOL, ChannelConfig, _survival, dephase, memory_kernel
@@ -54,6 +57,9 @@ from .measures import (
     measure_all,
 )
 from .production import PHI_ATOL, DensityMatrix4, channel_params, density_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KERNEL_VARIANT = "telegraph-paired-cos-sin/cosh-sinh-u-over-v"
 
@@ -132,7 +138,7 @@ _STEERING_CLASSES = (
     SteeringClass.ONE_WAY_BA,
     SteeringClass.TWO_WAY,
 )
-_CLASS_NAMES = np.array([c.value for c in _STEERING_CLASSES], dtype=object)
+_CLASS_NAMES = tuple(c.value for c in _STEERING_CLASSES)
 
 
 def check_range(axis: str, start: float, stop: float, step: float) -> int:
@@ -272,16 +278,22 @@ def _row_of(values: Sequence[Any]) -> SweepRow:
 def _pymax(a: Any, b: Any) -> np.ndarray:
     """Python's ``max(a, b)`` per element: ``b`` only where ``b > a``, so a
     tie between signed zeros keeps ``a`` as ``max`` does."""
+    import numpy as np
+
     return np.where(b > a, b, a)
 
 
 def _pymin(a: Any, b: Any) -> np.ndarray:
     """Python's ``min(a, b)`` per element: ``b`` only where ``b < a``."""
+    import numpy as np
+
     return np.where(b < a, b, a)
 
 
 def _binary_entropy(x: np.ndarray) -> np.ndarray:
     """``measures._binary_entropy`` per element, with ``math.log2``."""
+    import numpy as np
+
     total = np.zeros_like(x)
     for p in (x, 1.0 - x):
         positive = p > 0.0
@@ -302,6 +314,8 @@ def _state_constants(states: Iterable[DensityMatrix4]) -> dict[str, np.ndarray]:
     and the diagonal Fano-Bloch components are fixed per phi; ``bloch_bad``
     flags a state whose fixed components already fail the Fano-Bloch check.
     """
+    import numpy as np
+
     entries = [
         (rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14.real, rho.rho23.real)
         for rho in states
@@ -331,6 +345,8 @@ def _dephased(
     the Bloch components ``r11``, ``r22``, and a mask of the rows on which
     ``dephase`` or ``measure_all`` would raise.
     """
+    import numpy as np
+
     w = st["r14"] * eta
     z = st["r23"] * eta
     w_abs = np.abs(w)
@@ -352,6 +368,8 @@ def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> dict[str, np.n
     Each line mirrors the scalar expression it replaces, operation for
     operation.
     """
+    import numpy as np
+
     w_abs, z_abs, conc, r11, r22, _ = _dephased(st, eta)
 
     # steering
@@ -396,12 +414,43 @@ def _in_context(
     )
 
 
+def _kernel_at(grid: SweepGrid, cfg: ChannelConfig, t: float) -> float:
+    """``memory_kernel(t, cfg).k``; an error is extended by the coordinates of
+    the first row of ``grid`` at ``(cfg.tau, t)``."""
+    try:
+        return memory_kernel(t, cfg).k
+    except HyperspinError as exc:
+        raise _in_context(exc, grid.channel, grid.phi[0], grid.mu[0], cfg.tau, t) from exc
+
+
+def _scalar_row(
+    rho0: DensityMatrix4,
+    channel: str,
+    phi: float,
+    mu: float,
+    tau: float,
+    regime: str,
+    t: float,
+    k: float,
+) -> SweepRow:
+    """The row at one grid point on the scalar path: ``rho0`` dephased by the
+    eta of kernel value ``k``, then ``measure_all``; an error is extended by
+    the point's coordinates."""
+    e = _survival(k, mu)
+    try:
+        record = measure_all(dephase(rho0, e), e, k)
+    except HyperspinError as exc:
+        raise _in_context(exc, channel, phi, mu, tau, t) from exc
+    return SweepRow(channel, phi, mu, tau, regime, t, record)
+
+
 #: A chunk of consecutive rows: the distinct series it covers (one list per
 #: series column), each row's index into them, the distinct points likewise,
 #: and one list per measure column.  A chunk that covers the same points as
 #: the chunk before carries the very same point lists, so a renderer may
 #: reuse what it made of them.
-_Chunk = tuple[list[Sequence], np.ndarray, list[Sequence], np.ndarray, list[Sequence]]
+if TYPE_CHECKING:
+    _Chunk = tuple[list[Sequence], np.ndarray, list[Sequence], np.ndarray, list[Sequence]]
 
 
 @dataclass(frozen=True)
@@ -426,6 +475,8 @@ class _Columns:
     def _inputs(self) -> Iterator[tuple[np.ndarray, np.ndarray, dict, np.ndarray]]:
         """Per chunk of rows: the row indices, and each row's ``(mu, tau,
         time)`` point index, state constants and eta."""
+        import numpy as np
+
         for start in range(0, len(self), _CHUNK_ROWS):
             rows = np.arange(start, min(start + _CHUNK_ROWS, len(self)))
             i_state, i_point = np.divmod(rows, self.mu.size * self.kernel.size)
@@ -442,7 +493,10 @@ class _Columns:
 
     def chunks(self) -> Iterator[_Chunk]:
         """The rows, with their measures evaluated, a chunk at a time."""
+        import numpy as np
+
         g = self.grid
+        class_names = np.array(_CLASS_NAMES, dtype=object)
         n_tau = len(g.tau)
         points = point_columns = None
         for rows, i_point, states, eta in self._inputs():
@@ -470,7 +524,7 @@ class _Columns:
                     eta[first].tolist(),
                 ]
             measure_columns = [
-                _CLASS_NAMES[measures[name]].tolist()
+                class_names[measures[name]].tolist()
                 if name == "steering_class"
                 else measures[name].tolist()
                 for name, _ in _MEASURE_COLUMNS
@@ -479,18 +533,16 @@ class _Columns:
 
     def _raise_at(self, row: int) -> NoReturn:
         """Raise the error of the scalar path at a row ``check`` flagged."""
-        grid, times = self.grid, self.times.tolist()
-        shape = (len(grid.phi), len(grid.mu), len(grid.tau), len(times))
-        i_phi, i_mu, i_tau, i_time = (int(i) for i in np.unravel_index(row, shape))
+        g, times = self.grid, self.times.tolist()
+        i_series, i_time = divmod(row, len(times))
+        i_phi_mu, i_tau = divmod(i_series, len(g.tau))
+        i_phi, i_mu = divmod(i_phi_mu, len(g.mu))
         k = float(self.kernel[i_tau * len(times) + i_time])
-        e = _survival(k, grid.mu[i_mu])
-        rho0 = density_matrix(channel_params(grid.channel), grid.phi[i_phi])
-        try:
-            measure_all(dephase(rho0, e), e, k)
-        except HyperspinError as exc:
-            raise _in_context(
-                exc, grid.channel, grid.phi[i_phi], grid.mu[i_mu], grid.tau[i_tau], times[i_time]
-            ) from exc
+        rho0 = density_matrix(channel_params(g.channel), g.phi[i_phi])
+        _scalar_row(
+            rho0, g.channel, g.phi[i_phi], g.mu[i_mu], g.tau[i_tau], self.regimes[i_tau],
+            times[i_time], k,
+        )  # fmt: skip
         raise HyperspinError(f"sweep row {row} flagged as invalid, but the scalar path accepts it")
 
 
@@ -500,6 +552,8 @@ def _pick(values: Sequence[Any], index: np.ndarray) -> list:
 
 def _row_chunks(rows: Sequence[SweepRow]) -> Iterator[_Chunk]:
     """Explicit rows as chunks: every row is its own series and point."""
+    import numpy as np
+
     for start in range(0, len(rows), _CHUNK_ROWS):
         columns = list(zip(*(row.values() for row in rows[start : start + _CHUNK_ROWS])))
         each = np.arange(len(columns[0]))
@@ -547,6 +601,8 @@ class _Format:
     def _fill(
         self, template: str, columns: Sequence[tuple[str, type]], values: list
     ) -> np.ndarray:
+        import numpy as np
+
         filled = map(template.__mod__, zip(*self._converted(columns, values)))
         return np.array(list(filled), dtype=object)
 
@@ -588,6 +644,8 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     that path to raise its error, extended by the row's coordinates; the
     first such row in grid order is the one reported.
     """
+    import numpy as np
+
     ch = channel_params(grid.channel)
     # One state at a time: only its constants are kept.
     constants = _state_constants(density_matrix(ch, p) for p in grid.phi)
@@ -597,11 +655,7 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     for tau in grid.tau:
         cfg = ChannelConfig(mu=grid.mu[0], tau=tau)
         regimes.append(cfg.regime.value)
-        for t in times:
-            try:
-                kernel.append(memory_kernel(t, cfg).k)
-            except HyperspinError as exc:
-                raise _in_context(exc, grid.channel, grid.phi[0], grid.mu[0], tau, t) from exc
+        kernel += [_kernel_at(grid, cfg, t) for t in times]
     columns = _Columns(grid, regimes, *map(np.array, (times, grid.mu, kernel)), constants)
     columns.check()
     return columns
@@ -689,6 +743,21 @@ def run_sweep(
     serial.
     """
     return _run(grid, measures, workers, None)
+
+
+def point_row(grid: SweepGrid) -> SweepRow:
+    """The row of ``grid``, which has one point, evaluated on the scalar path.
+
+    Gives the row that ``run_sweep(grid).rows[0]`` gives, bit for bit, and
+    raises what ``run_sweep(grid)`` raises, without loading numpy.
+    """
+    channel, phi, mu, tau = grid.channel, grid.phi[0], grid.mu[0], grid.tau[0]
+    # The order of ``_evaluate``: the state, the config, then the kernel.
+    rho0 = density_matrix(channel_params(channel), phi)
+    cfg = ChannelConfig(mu=mu, tau=tau)
+    # The engine's time, ``start + 0 * step``, which turns -0 into 0.
+    t = grid.time.values()[0]
+    return _scalar_row(rho0, channel, phi, mu, tau, cfg.regime.value, t, _kernel_at(grid, cfg, t))
 
 
 def _run(

@@ -3,15 +3,29 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperspin import KernelValue, cli, memory_kernel, selfcheck
+import hyperspin.sweep as sweep_module
+from hyperspin import (
+    CHANNELS,
+    DensityMatrix4,
+    KernelValue,
+    SweepGrid,
+    TimeGrid,
+    cli,
+    emit,
+    memory_kernel,
+    run_sweep,
+    selfcheck,
+)
 
 CMD = [sys.executable, "-m", "hyperspin"]
 
@@ -395,3 +409,185 @@ def test_tau_too_small_for_the_kernel_exits_1(command, tau):
     assert code == 1
     assert out == ""
     assert "tau is too small" in err
+
+
+# ``measure`` evaluates its point on the scalar path (``sweep.point_row``); it
+# must print what it printed when it read the row off ``run_sweep``.
+
+
+def _grid_of(channel, phi, mu, tau, t):
+    """The one-point grid ``measure`` builds."""
+    return SweepGrid(channel, (phi,), (mu,), (tau,), TimeGrid(t, t, 1.0))
+
+
+def _measure_argv(channel, phi, mu, tau, t, fmt):
+    values = (("phi", phi), ("mu", mu), ("tau", tau), ("time", t))
+    return ["measure", f"--channel={channel}", *(f"--{n}={v!r}" for n, v in values),
+            "--format", fmt]  # fmt: skip
+
+
+def _engine_text(grid, fmt):
+    """``measure``'s output for ``grid`` as rendered from ``run_sweep``."""
+    result = run_sweep(grid)
+    if fmt == "json":
+        return json.dumps(result.rows[0].as_dict()) + "\n"
+    buf = io.StringIO()
+    emit(result, "csv", buf)
+    return buf.getvalue()
+
+
+def parity_points():
+    """Seeded points: every channel, both regimes and the ``4*tau = 1`` seam,
+    phi in {0, pi/2, pi} and one drawn value, mu in {0, 1} and one drawn
+    value, each at ``t = 0``, ``t = -0`` or a drawn time."""
+    rng = random.Random(20261018)
+    points = []
+    for channel in sorted(CHANNELS):
+        for tau in (rng.uniform(0.01, 0.24), 0.25, rng.uniform(0.26, 10.0)):
+            for phi in (0.0, math.pi / 2.0, math.pi, rng.uniform(0.0, math.pi)):
+                for mu in (0.0, 1.0, rng.random()):
+                    t = rng.choice((0.0, -0.0, rng.uniform(0.0, 2.0), rng.uniform(0.0, 50.0)))
+                    points.append((channel, phi, mu, tau, t))
+    return points
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_measure_prints_the_run_sweep_row(fmt):
+    points = parity_points()
+    assert sum(math.copysign(1.0, p[4]) < 0.0 for p in points) > 10
+    assert sum(p[4] == 0.0 for p in points) > 40
+    for point in points:
+        code, out, err = main_output(_measure_argv(*point, fmt))
+        assert (code, err) == (0, ""), point
+        assert out == _engine_text(_grid_of(*point), fmt), point
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("degrees", ["0", "30", "57.3", "90", "135.25", "180"])
+def test_measure_in_degrees_prints_the_run_sweep_row(fmt, degrees):
+    argv = ["measure", "--channel", "xi-", "--phi-deg", degrees, "--mu", "0.3",
+            "--tau", "0.7", "--time", "2.5", "--format", fmt]  # fmt: skip
+    code, out, _ = main_output(argv)
+    assert code == 0
+    grid = _grid_of("xi-", math.radians(float(degrees)), 0.3, 0.7, 2.5)
+    assert out == _engine_text(grid, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("tau, t", [(0.2500001, 1.7e308), (0.3, 1.79e308), (0.25, 1e308)])
+def test_measure_past_the_kernel_rates_prints_the_run_sweep_row(fmt, tau, t):
+    code, out, _ = main_output(_measure_argv("lambda", 1.0, 0.5, tau, t, fmt))
+    assert code == 0
+    assert out == _engine_text(_grid_of("lambda", 1.0, 0.5, tau, t), fmt)
+
+
+def _kernel_above_one_at(t_bad):
+    real = sweep_module.memory_kernel
+
+    def patched(t, cfg):
+        kv = real(t, cfg)
+        return KernelValue(1.2, kv.u, kv.v) if t == t_bad else kv
+
+    return patched
+
+
+def _bogus_state(w, z):
+    def patched(ch, phi):
+        return DensityMatrix4._of_entries(0.25, 0.25, 0.25, 0.25, complex(w), complex(z))
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    ("argv", "layers"),
+    [
+        (("--phi", "7", "--mu", "0.5", "--tau", "0.1", "--time", "0"), {}),
+        (("--phi", "1", "--mu", "0.5", "--tau", "1e-300", "--time", "1"), {}),
+        (("--phi", "1", "--mu", "1.5", "--tau", "0.1", "--time", "1"), {}),
+        (("--phi", "1", "--mu", "0.5", "--tau", "0.1", "--time", "-1"), {}),
+        (("--phi", "1", "--mu", "0.5", "--tau", "0.1", "--time", "nan"), {}),
+        (("--phi", "nan", "--mu", "0.5", "--tau", "0.1", "--time", "1"), {}),
+        (("--phi", "1", "--mu", "nan", "--tau", "0.1", "--time", "1"), {}),
+        (("--phi", "1", "--mu", "0.5", "--tau", "nan", "--time", "1"), {}),
+        (
+            ("--phi", "0", "--mu", "0", "--tau", "0.1", "--time", "1.0"),
+            {"memory_kernel": _kernel_above_one_at(1.0)},
+        ),
+        (
+            ("--phi", "1.5707963267948966", "--mu", "0", "--tau", "0.1", "--time", "0"),
+            {"density_matrix": _bogus_state(0.9, 0.0)},
+        ),
+        (
+            ("--phi", "1.5707963267948966", "--mu", "0", "--tau", "0.1", "--time", "0"),
+            {"density_matrix": _bogus_state(0.45, 0.45)},
+        ),
+        (
+            ("--phi", "1", "--mu", "0.5", "--tau", "0.1", "--time", "1.0"),
+            {"memory_kernel": _kernel_above_one_at(1.0),
+             "density_matrix": _bogus_state(0.9, 0.0)},
+        ),  # fmt: skip
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_measure_fails_as_run_sweep_does(monkeypatch, argv, layers, fmt):
+    for name, patch in layers.items():
+        monkeypatch.setattr(sweep_module, name, patch)
+    full = ["measure", "--channel", "lambda", *argv, "--format", fmt]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "point_row", lambda grid: run_sweep(grid).rows[0])
+        want = main_output(full)
+    code, out, err = main_output(full)
+    assert want[0] == 1 and want[1] == ""
+    assert err.count("\n") == 1 and err.startswith("hyperspin: error: ")
+    # A patched layer fails past grid validation, where the error names the point.
+    assert ("[at channel=lambda, phi=" in err) == bool(layers)
+    assert (code, out, err) == want
+
+
+#: Run in a fresh interpreter: each step, then whether numpy is loaded.
+NUMPY_PROBE = """\
+import json
+import sys
+steps = {}
+import hyperspin
+steps["import"] = "numpy" in sys.modules
+exec(compile(QUICK_TOUR, "README", "exec"), {})
+steps["quick tour"] = "numpy" in sys.modules
+from hyperspin.cli import main
+try:
+    main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+steps["--version"] = "numpy" in sys.modules
+for fmt in ("json", "csv"):
+    assert main([*MEASURE, "--format", fmt, "--out", OUT]) == 0
+    steps["measure " + fmt] = "numpy" in sys.modules
+assert main(["params", "--channel", "xi0"]) == 0
+steps["params"] = "numpy" in sys.modules
+assert main(["sweep", "--figure", "m08", "--out", OUT]) == 0
+steps["sweep"] = "numpy" in sys.modules
+print(json.dumps(steps))
+"""
+
+
+def test_point_commands_leave_numpy_unloaded(tmp_path):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    tour = readme.read_text(encoding="utf-8").split("```python\n")[1].split("```")[0]
+    assert "hs.measure_all" in tour
+    measure = ["measure", "--channel", "lambda", "--phi", "1.2", "--mu", "0.5",
+               "--tau", "5", "--time", "1.5"]  # fmt: skip
+    header = f"QUICK_TOUR = {tour!r}\nMEASURE = {measure!r}\nOUT = {str(tmp_path / 'out')!r}\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", header + NUMPY_PROBE], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps == {
+        "import": False,
+        "quick tour": False,
+        "--version": False,
+        "measure json": False,
+        "measure csv": False,
+        "params": False,
+        "sweep": True,
+    }
