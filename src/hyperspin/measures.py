@@ -6,6 +6,11 @@ transform (entanglement of formation), geometric quantum discord in the
 Schatten 1-norm via the Fano-Bloch correlation components, and the l1-norm
 of coherence.  The input matrices already carry any decoherence factor in
 their anti-diagonal entries; nothing here re-applies channel physics.
+
+Each formula is written once, as a private body that the public functions
+run on Python floats and the sweep engine on numpy columns, with the same
+bits.  The bodies write ``max(a, b)`` as ``where(b > a, b, a)`` and ``min``
+as ``where(b < a, b, a)``, which choose between signed zeros as Python does.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Literal
+from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple
 
 from .channel import PROB_ATOL
 from .errors import DomainError
@@ -33,6 +38,23 @@ class SteeringClass(enum.Enum):
     ONE_WAY_AB = "one_way_ab"
     ONE_WAY_BA = "one_way_ba"
     TWO_WAY = "two_way"
+
+
+#: Steering classes, in definition order, indexed by the code
+#: ``(s_ab > 0) + 2 * (s_ba > 0)``.
+STEERING_CLASSES = tuple(SteeringClass)
+
+
+class _Ops(NamedTuple):
+    """What the measure bodies compute differently on floats and on numpy
+    columns; ``where(cond, x, y)`` is ``x`` where ``cond`` holds, else ``y``."""
+
+    where: Callable[[Any, Any, Any], Any]
+    sqrt: Callable[[Any], Any]
+    log2: Callable[[Any], Any]
+
+
+_FLOAT_OPS = _Ops(lambda cond, x, y: x if cond else y, math.sqrt, math.log2)
 
 
 @dataclass(frozen=True)
@@ -63,10 +85,19 @@ class FanoBloch:
         _check_bloch((self.r11, self.r22, self.r33, self.r03, self.r30))
 
 
-def _check_bloch(components: tuple[float, ...]) -> None:
+def _bloch_outside(*components: Any) -> Any:
+    """Whether a Bloch component lies outside [-1, 1] by more than roundoff:
+    a bool for floats, a mask over rows for numpy columns."""
+    outside = False
     for r in components:
-        if abs(r) > 1.0 + DOMAIN_ATOL:
-            raise DomainError(f"Bloch component {r} outside [-1, 1]")
+        outside = outside | (abs(r) > 1.0 + DOMAIN_ATOL)
+    return outside
+
+
+def _check_bloch(components: tuple[float, ...]) -> None:
+    if _bloch_outside(*components):
+        r = next(r for r in components if _bloch_outside(r))
+        raise DomainError(f"Bloch component {r} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -145,23 +176,27 @@ def steering(rho: DensityMatrix4) -> SteeringResult:
     corner/inner bounds, biased by the population-asymmetry term (minus for
     first-to-second, plus for the reverse).
     """
-    corner, bias, inner = _steering_bounds(rho.rho11, rho.rho22, rho.rho33, rho.rho44)
-    w = abs(rho.rho14)
-    z = abs(rho.rho23)
+    bounds = _steering_bounds(rho.rho11, rho.rho22, rho.rho33, rho.rho44)
+    s_ab, s_ba, delta_s, code = _steering(abs(rho.rho14), abs(rho.rho23), *bounds, _FLOAT_OPS)
+    return SteeringResult(s_ab, s_ba, delta_s, STEERING_CLASSES[code])
+
+
+def _steering(w: Any, z: Any, corner: Any, bias: Any, inner: Any, ops: _Ops) -> tuple:
+    """``(s_ab, s_ba, delta_s, code)`` of :func:`steering` from ``w = |rho14|``,
+    ``z = |rho23|`` and the bounds; ``code`` indexes ``STEERING_CLASSES``."""
+    where = ops.where
     w2 = w * w
     z2 = z * z
     scale = 8.0 / SQRT3
-    s_ab = max(0.0, scale * max(w2 - corner - bias, z2 - inner - bias))
-    s_ba = max(0.0, scale * max(w2 - corner + bias, z2 - inner + bias))
-    if s_ab > 0.0 and s_ba > 0.0:
-        cls = SteeringClass.TWO_WAY
-    elif s_ab > 0.0:
-        cls = SteeringClass.ONE_WAY_AB
-    elif s_ba > 0.0:
-        cls = SteeringClass.ONE_WAY_BA
-    else:
-        cls = SteeringClass.NO_WAY
-    return SteeringResult(s_ab, s_ba, abs(s_ab - s_ba), cls)
+    corner_ab = w2 - corner - bias
+    inner_ab = z2 - inner - bias
+    corner_ba = w2 - corner + bias
+    inner_ba = z2 - inner + bias
+    s_ab = scale * where(inner_ab > corner_ab, inner_ab, corner_ab)
+    s_ba = scale * where(inner_ba > corner_ba, inner_ba, corner_ba)
+    s_ab = where(s_ab > 0.0, s_ab, 0.0)
+    s_ba = where(s_ba > 0.0, s_ba, 0.0)
+    return s_ab, s_ba, abs(s_ab - s_ba), (s_ab > 0.0) + 2 * (s_ba > 0.0)
 
 
 def concurrence(rho: DensityMatrix4) -> float:
@@ -178,7 +213,12 @@ def concurrence(rho: DensityMatrix4) -> float:
     with the general Wootters value at full coherence.  For moduli the
     maximum is ``abs(|rho23| - |rho14|)``, bit for bit.
     """
-    return 2.0 * abs(abs(rho.rho23) - abs(rho.rho14))
+    return _concurrence(abs(rho.rho14), abs(rho.rho23))
+
+
+def _concurrence(w: Any, z: Any) -> Any:
+    """:func:`concurrence` of the anti-diagonal moduli ``w``, ``z``."""
+    return 2.0 * abs(z - w)
 
 
 def concurrence_closed(ch: HyperonChannel, phi: float, eta: float) -> float:
@@ -186,15 +226,6 @@ def concurrence_closed(ch: HyperonChannel, phi: float, eta: float) -> float:
     if not 0.0 <= eta <= 1.0 + PROB_ATOL:
         raise DomainError(f"eta must be in [0, 1], got {eta}")
     return abs(eta * xstate_params(ch, phi).gamma2)
-
-
-def _binary_entropy(x: float) -> float:
-    # 0*log(0) := 0 at both endpoints.
-    total = 0.0
-    for p in (x, 1.0 - x):
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
 
 
 def entanglement_of_formation(c: float) -> float:
@@ -209,8 +240,21 @@ def entanglement_of_formation(c: float) -> float:
     """
     if not -DOMAIN_ATOL <= c <= 1.0 + DOMAIN_ATOL:
         raise DomainError(f"concurrence must be in [0, 1], got {c}")
-    c = min(max(c, 0.0), 1.0)
-    return _binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
+    return _eof(c, _FLOAT_OPS)
+
+
+def _eof(c: Any, ops: _Ops) -> Any:
+    """:func:`entanglement_of_formation` of a checked concurrence ``c``."""
+    where = ops.where
+    c = where(0.0 > c, 0.0, c)
+    c = where(1.0 < c, 1.0, c)
+    x = 0.5 * (1.0 + ops.sqrt(1.0 - c * c))
+    # The binary entropy of x, which is at least 1/2: only 1 - x can be 0,
+    # and 0*log(0) := 0.  ``0.0 -`` makes a zero entropy +0, not -0.
+    total = 0.0 - x * ops.log2(x)
+    y = 1.0 - x
+    positive = y > 0.0
+    return where(positive, total - y * ops.log2(where(positive, y, 1.0)), total)
 
 
 def fano_bloch(rho: DensityMatrix4) -> FanoBloch:
@@ -226,12 +270,22 @@ def fano_bloch(rho: DensityMatrix4) -> FanoBloch:
 def _bloch_components(rho: DensityMatrix4) -> tuple[float, float, float, float, float]:
     """``(r11, r22, r33, r03, r30)`` of :func:`fano_bloch`, range-checked as
     ``FanoBloch`` checks them."""
-    a, b, c, d = rho.rho11, rho.rho22, rho.rho33, rho.rho44
-    z = rho.rho23.real
-    w = rho.rho14.real
-    r = (2.0 * (z + w), 2.0 * (z - w), 1.0 - 2.0 * (b + c), a - b + c - d, a + b - c - d)
+    r = (
+        *_anti_diagonal_bloch(rho.rho14.real, rho.rho23.real),
+        *_diagonal_bloch(rho.rho11, rho.rho22, rho.rho33, rho.rho44),
+    )
     _check_bloch(r)
     return r
+
+
+def _anti_diagonal_bloch(w: Any, z: Any) -> tuple[Any, Any]:
+    """``(r11, r22)`` of the real entries ``w = rho14``, ``z = rho23``."""
+    return 2.0 * (z + w), 2.0 * (z - w)
+
+
+def _diagonal_bloch(a: Any, b: Any, c: Any, d: Any) -> tuple[Any, Any, Any]:
+    """``(r33, r03, r30)`` of the populations ``a, b, c, d``."""
+    return 1.0 - 2.0 * (b + c), a - b + c - d, a + b - c - d
 
 
 def geometric_discord(rho: DensityMatrix4) -> float:
@@ -244,22 +298,34 @@ def geometric_discord(rho: DensityMatrix4) -> float:
     returned as the continuous limit.
     """
     r11, r22, r33, _, r30 = _bloch_components(rho)
+    return _discord(r11, r22, r33, r30, _FLOAT_OPS)
+
+
+def _discord(r11: Any, r22: Any, r33: Any, r30: Any, ops: _Ops) -> Any:
+    """:func:`geometric_discord` of the Fano-Bloch components it reads."""
+    where = ops.where
     r11sq = r11 * r11
     r22sq = r22 * r22
     r33sq = r33 * r33
-    rmax_sq = max(r22sq + r30 * r30, r33sq)
-    rmin_sq = min(r11sq, r33sq)
+    rmax_sq = r22sq + r30 * r30
+    rmax_sq = where(r33sq > rmax_sq, r33sq, rmax_sq)
+    rmin_sq = where(r33sq < r11sq, r33sq, r11sq)
     den = rmax_sq - rmin_sq + r11sq - r22sq
-    if den < GQD_DENOMINATOR_ATOL:
-        return 0.0
-    num = max(r11sq * rmax_sq - r22sq * rmin_sq, 0.0)
-    return 0.5 * math.sqrt(num / den)
+    num = r11sq * rmax_sq - r22sq * rmin_sq
+    num = where(0.0 > num, 0.0, num)
+    vanishing = den < GQD_DENOMINATOR_ATOL
+    return where(vanishing, 0.0, 0.5 * ops.sqrt(num / where(vanishing, 1.0, den)))
 
 
 def coherence_l1(rho: DensityMatrix4) -> float:
     """l1-norm of coherence: sum of the magnitudes of all off-diagonal
     entries, which for an X state is ``2 * (|rho23| + |rho14|)``."""
-    return 2.0 * (abs(rho.rho23) + abs(rho.rho14))
+    return _coherence_l1(abs(rho.rho14), abs(rho.rho23))
+
+
+def _coherence_l1(w: Any, z: Any) -> Any:
+    """:func:`coherence_l1` of the anti-diagonal moduli ``w``, ``z``."""
+    return 2.0 * (z + w)
 
 
 def measure_all(rho: DensityMatrix4, eta: float, kernel: float) -> MeasureRecord:

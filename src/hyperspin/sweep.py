@@ -22,15 +22,10 @@ module does not load it.  Nor does ``point_row``, which evaluates the one
 row of a one-point grid (``hyperspin measure``) on the scalar path that
 also raises the engine's errors.
 
-The columns equal the scalar path (``dephase`` then ``measure_all``) bit for
-bit, which the test suite and ``hyperspin check`` verify row by row.  Both
-paths write squares as ``x * x`` and share the other arithmetic operation for
-operation; two rules keep the rest equal:
-
-* transcendental functions run per element on ``math``: numpy's SIMD
-  ``exp`` and ``log2`` differ from libm in the last ulp on some inputs;
-* Python's ``max`` and ``min`` become ``_pymax`` and ``_pymin``, which make
-  the same choice between signed zeros, so a ``-0`` renders where it did.
+The engine runs the measures' own formulas: the bodies in ``measures``
+that the scalar path (``dephase`` then ``measure_all``) runs on floats, here
+on numpy columns.  So the columns equal the scalar path bit for bit, which
+the test suite and ``hyperspin check`` verify row by row.
 """
 
 from __future__ import annotations
@@ -48,11 +43,19 @@ from .channel import PROB_ATOL, ChannelConfig, _survival, dephase, memory_kernel
 from .errors import DomainError, HyperspinError, UnknownPresetError
 from .measures import (
     DOMAIN_ATOL,
-    GQD_DENOMINATOR_ATOL,
-    SQRT3,
+    STEERING_CLASSES,
     MeasureRecord,
     SteeringClass,
     SteeringResult,
+    _anti_diagonal_bloch,
+    _bloch_outside,
+    _coherence_l1,
+    _concurrence,
+    _diagonal_bloch,
+    _discord,
+    _eof,
+    _Ops,
+    _steering,
     _steering_bounds,
     measure_all,
 )
@@ -130,16 +133,6 @@ _CHUNK_ROWS = 1 << 11
 #: most 80 MB at the cap, and evaluates eta and the measures a chunk of rows
 #: at a time.  Change it by assigning ``hyperspin.sweep.MAX_ROWS``.
 MAX_ROWS = 10_000_000
-
-#: Steering classes indexed by the code ``(s_ab > 0) + 2 * (s_ba > 0)``.
-_STEERING_CLASSES = (
-    SteeringClass.NO_WAY,
-    SteeringClass.ONE_WAY_AB,
-    SteeringClass.ONE_WAY_BA,
-    SteeringClass.TWO_WAY,
-)
-_CLASS_NAMES = tuple(c.value for c in _STEERING_CLASSES)
-
 
 def check_range(axis: str, start: float, stop: float, step: float) -> int:
     """Validate the progression ``start, start + step, ...`` up to ``stop`` of
@@ -275,35 +268,8 @@ def _row_of(values: Sequence[Any]) -> SweepRow:
     return SweepRow(v["channel"], v["phi"], v["mu"], v["tau"], v["regime"], v["time"], record)
 
 
-def _pymax(a: Any, b: Any) -> np.ndarray:
-    """Python's ``max(a, b)`` per element: ``b`` only where ``b > a``, so a
-    tie between signed zeros keeps ``a`` as ``max`` does."""
-    import numpy as np
-
-    return np.where(b > a, b, a)
-
-
-def _pymin(a: Any, b: Any) -> np.ndarray:
-    """Python's ``min(a, b)`` per element: ``b`` only where ``b < a``."""
-    import numpy as np
-
-    return np.where(b < a, b, a)
-
-
-def _binary_entropy(x: np.ndarray) -> np.ndarray:
-    """``measures._binary_entropy`` per element, with ``math.log2``."""
-    import numpy as np
-
-    total = np.zeros_like(x)
-    for p in (x, 1.0 - x):
-        positive = p > 0.0
-        logs = np.array(list(map(math.log2, np.where(positive, p, 1.0).tolist())))
-        total = np.where(positive, total - p * logs, total)
-    return total
-
-
 #: Per-phi constants that ``_state_constants`` reads off each production state.
-_STATE_FIELDS = ("r14", "r23", "corner", "bias", "inner", "r30sq", "r33sq", "bloch_bad")
+_STATE_FIELDS = ("r14", "r23", "corner", "bias", "inner", "r33", "r30", "bloch_bad")
 
 
 def _state_constants(states: Iterable[DensityMatrix4]) -> dict[str, np.ndarray]:
@@ -321,16 +287,10 @@ def _state_constants(states: Iterable[DensityMatrix4]) -> dict[str, np.ndarray]:
         for rho in states
     ]
     a, b, c, d, r14, r23 = map(np.array, zip(*entries))
-    r33 = 1.0 - 2.0 * (b + c)
-    r03 = a - b + c - d
-    r30 = a + b - c - d
+    r33, r03, r30 = _diagonal_bloch(a, b, c, d)
     corner, bias, inner = _steering_bounds(a, b, c, d)
-    bloch_bad = (
-        (np.abs(r33) > 1.0 + DOMAIN_ATOL)
-        | (np.abs(r03) > 1.0 + DOMAIN_ATOL)
-        | (np.abs(r30) > 1.0 + DOMAIN_ATOL)
-    )
-    columns = (r14, r23, corner, bias, inner, r30 * r30, r33 * r33, bloch_bad)
+    bloch_bad = _bloch_outside(r33, r03, r30)
+    columns = (r14, r23, corner, bias, inner, r33, r30, bloch_bad)
     return dict(zip(_STATE_FIELDS, columns))
 
 
@@ -345,65 +305,37 @@ def _dephased(
     the Bloch components ``r11``, ``r22``, and a mask of the rows on which
     ``dephase`` or ``measure_all`` would raise.
     """
-    import numpy as np
-
     w = st["r14"] * eta
     z = st["r23"] * eta
-    w_abs = np.abs(w)
-    z_abs = np.abs(z)
-    conc = 2.0 * np.abs(z_abs - w_abs)
-    r11 = 2.0 * (z + w)
-    r22 = 2.0 * (z - w)
+    w_abs = abs(w)
+    z_abs = abs(z)
+    conc = _concurrence(w_abs, z_abs)
+    r11, r22 = _anti_diagonal_bloch(w, z)
     bad = ~((0.0 <= eta) & (eta <= 1.0 + PROB_ATOL))
     bad |= ~((-DOMAIN_ATOL <= conc) & (conc <= 1.0 + DOMAIN_ATOL))
-    bad |= (np.abs(r11) > 1.0 + DOMAIN_ATOL) | (np.abs(r22) > 1.0 + DOMAIN_ATOL)
-    bad |= st["bloch_bad"]
+    bad |= _bloch_outside(r11, r22) | st["bloch_bad"]
     return w_abs, z_abs, conc, r11, r22, bad
 
 
-def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> dict[str, np.ndarray]:
+def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> list[np.ndarray]:
     """``measure_all(dephase(rho0, eta), ...)`` as columns over a chunk of
-    rows that ``_dephased`` accepts, keyed by measure column.
-
-    Each line mirrors the scalar expression it replaces, operation for
-    operation.
+    rows that ``_dephased`` accepts, in ``_MEASURE_COLUMNS`` order: the
+    measures' own bodies, run on numpy columns with libm ``log2`` per
+    element (numpy's SIMD ``log2`` differs from it in the last ulp on some
+    inputs).  The steering class is its code, an index into
+    ``STEERING_CLASSES``.
     """
     import numpy as np
 
+    ops = _Ops(np.where, np.sqrt, lambda x: np.array(list(map(math.log2, x.tolist()))))
     w_abs, z_abs, conc, r11, r22, _ = _dephased(st, eta)
-
-    # steering
-    w2 = w_abs * w_abs
-    z2 = z_abs * z_abs
-    corner, bias, inner = st["corner"], st["bias"], st["inner"]
-    scale = 8.0 / SQRT3
-    s_ab = _pymax(0.0, scale * _pymax(w2 - corner - bias, z2 - inner - bias))
-    s_ba = _pymax(0.0, scale * _pymax(w2 - corner + bias, z2 - inner + bias))
-
-    # entanglement of formation
-    c = _pymin(_pymax(conc, 0.0), 1.0)
-    eof = _binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
-
-    # geometric discord
-    r11sq = r11 * r11
-    r22sq = r22 * r22
-    rmax_sq = _pymax(r22sq + st["r30sq"], st["r33sq"])
-    rmin_sq = _pymin(r11sq, st["r33sq"])
-    den = rmax_sq - rmin_sq + r11sq - r22sq
-    vanishing = den < GQD_DENOMINATOR_ATOL
-    num = _pymax(r11sq * rmax_sq - r22sq * rmin_sq, 0.0)
-    gqd = np.where(vanishing, 0.0, 0.5 * np.sqrt(num / np.where(vanishing, 1.0, den)))
-
-    return {
-        "s_ab": s_ab,
-        "s_ba": s_ba,
-        "delta_s": np.abs(s_ab - s_ba),
-        "steering_class": (s_ab > 0.0) + 2 * (s_ba > 0.0),
-        "concurrence": conc,
-        "eof": eof,
-        "gqd": gqd,
-        "coherence_l1": 2.0 * (z_abs + w_abs),
-    }
+    return [
+        *_steering(w_abs, z_abs, st["corner"], st["bias"], st["inner"], ops),
+        conc,
+        _eof(conc, ops),
+        _discord(r11, r22, st["r33"], st["r30"], ops),
+        _coherence_l1(w_abs, z_abs),
+    ]
 
 
 def _in_context(
@@ -496,7 +428,7 @@ class _Columns:
         import numpy as np
 
         g = self.grid
-        class_names = np.array(_CLASS_NAMES, dtype=object)
+        class_names = np.array([c.value for c in STEERING_CLASSES], dtype=object)
         n_tau = len(g.tau)
         points = point_columns = None
         for rows, i_point, states, eta in self._inputs():
@@ -524,10 +456,8 @@ class _Columns:
                     eta[first].tolist(),
                 ]
             measure_columns = [
-                class_names[measures[name]].tolist()
-                if name == "steering_class"
-                else measures[name].tolist()
-                for name, _ in _MEASURE_COLUMNS
+                class_names[column].tolist() if name == "steering_class" else column.tolist()
+                for (name, _), column in zip(_MEASURE_COLUMNS, measures)
             ]
             yield series_columns, series_of_row, point_columns, point_of_row, measure_columns
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hyperspin import HyperonChannel, channel, numeric_xstate_params, phi_matrix
+from hyperspin.production import DensityMatrix4
 
 SIG = (
     np.eye(2, dtype=complex),
@@ -76,6 +77,23 @@ def wootters_concurrence_x(
         reverse=True,
     )
     return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+
+
+def x_state(a: float, b: float, c: float, d: float, w: float, z: float) -> DensityMatrix4:
+    """The X state with populations ``a, b, c, d``, ``rho14 = w`` and ``rho23 = z``."""
+    m = np.diag([a, b, c, d]).astype(complex)
+    m[0, 3] = m[3, 0] = w
+    m[1, 2] = m[2, 1] = z
+    return DensityMatrix4(m)
+
+
+def random_x_state(rng: np.random.Generator) -> DensityMatrix4:
+    """An X state with Dirichlet populations and real anti-diagonal entries
+    drawn uniformly up to the positivity bound."""
+    diag = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
+    w = rng.uniform(0.0, math.sqrt(diag[0] * diag[3]))
+    z = rng.uniform(0.0, math.sqrt(diag[1] * diag[2]))
+    return x_state(*diag, w, z)
 
 
 def binary_entropy(x: float) -> float:

@@ -5,9 +5,11 @@ import pytest
 from conftest import (
     binary_entropy,
     pauli_expectation,
+    random_x_state,
     threshold_bisect,
     wootters_concurrence_general,
     wootters_concurrence_x,
+    x_state,
 )
 
 from hyperspin import (
@@ -50,14 +52,30 @@ def maximally_mixed() -> DensityMatrix4:
     return DensityMatrix4(np.eye(4, dtype=complex) / 4.0)
 
 
-def random_x_state(rng: np.random.Generator) -> DensityMatrix4:
-    diag = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    w = rng.uniform(0.0, math.sqrt(diag[0] * diag[3]))
-    z = rng.uniform(0.0, math.sqrt(diag[1] * diag[2]))
-    m = np.diag(diag).astype(complex)
-    m[0, 3] = m[3, 0] = w
-    m[1, 2] = m[2, 1] = z
-    return DensityMatrix4(m)
+def _partial_transpose_negative(rho, direction):
+    t = steering_operator(rho, direction)
+    t_pt = t.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return np.linalg.eigvalsh(t_pt).min() < 0.0
+
+
+@pytest.mark.parametrize(
+    ("entries", "expected"),
+    [
+        ((0.2034, 0.2554, 0.5230, 0.0182, 0.0347, 0.2687), SteeringClass.ONE_WAY_AB),
+        ((0.2034, 0.5230, 0.2554, 0.0182, 0.0347, 0.2687), SteeringClass.ONE_WAY_BA),
+        ((0.1, 0.4, 0.35, 0.15, 0.05, 0.37), SteeringClass.TWO_WAY),
+        ((0.35, 0.2, 0.3, 0.15, 0.02, 0.1), SteeringClass.NO_WAY),
+    ],
+)
+def test_steering_class_follows_the_operator_in_each_direction(entries, expected):
+    # a != d and b != c, so the direction bias is nonzero; produced states
+    # have b == c and never steer one way only.
+    rho = x_state(*entries)
+    res = steering(rho)
+    assert res.steering_class is expected
+    assert (res.s_ab > 0.0) == _partial_transpose_negative(rho, "ab")
+    assert (res.s_ba > 0.0) == _partial_transpose_negative(rho, "ba")
+    assert res.delta_s == abs(res.s_ab - res.s_ba)
 
 
 def test_steering_operator_fixed_point():
@@ -310,6 +328,16 @@ def test_gqd_rejects_bloch_component_out_of_range_as_fano_bloch(diagonal, r14):
 
 def test_gqd_lambda_half_pi():
     assert abs(geometric_discord(density_matrix(LAMBDA, HALF_PI)) - 0.2375) < 1e-14
+
+
+def test_gqd_peaks_off_half_pi_at_full_coherence():
+    # docs/errata.md: the local Bloch term r30, zero only at pi/2, moves the
+    # maximum of the undephased (t = 0) state to 72 and 108 degrees.
+    gqd = [geometric_discord(density_matrix(LAMBDA, math.radians(k))) for k in range(181)]
+    peak = max(gqd)
+    assert [k for k, v in enumerate(gqd) if peak - v < 1e-12] == [72, 108]
+    assert abs(peak - 0.245615) < 1e-6
+    assert abs(gqd[90] - 0.2375) < 1e-14
 
 
 def test_gqd_branch_structure_at_half_pi():
