@@ -26,8 +26,8 @@ from .sweep import (
     CSV_HEADER,
     SweepGrid,
     TimeGrid,
+    _emit,
     check_range,
-    emit,
     point_row,
     run_preset,
     run_sweep,
@@ -187,7 +187,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         result = run_sweep(_sweep_grid_from_args(args))
     sink = args.out if args.out else sys.stdout
-    nbytes = emit(result, args.format, sink)
+    # Renders in two processes where it can; the bytes are those of ``emit``.
+    nbytes = _emit(result, args.format, sink, split=True)
     target = args.out if args.out else "<stdout>"
     print(
         f"wrote {len(result)} records ({nbytes} bytes, {args.format}) to {target}",

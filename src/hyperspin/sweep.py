@@ -26,6 +26,17 @@ The engine runs the measures' own formulas: the bodies in ``measures``
 that the scalar path (``dephase`` then ``measure_all``) runs on floats, here
 on numpy columns.  So the columns equal the scalar path bit for bit, which
 the test suite and ``hyperspin check`` verify row by row.
+
+The ``hyperspin sweep`` command renders in two processes.  Once
+``run_sweep`` has built and checked the columns, and the sink is open, it
+forks one child on Linux if the rows take more than one chunk.  The child
+evaluates and renders the odd chunks and sends each one's text through a
+pipe as one length-prefixed frame.  The parent does the even chunks and
+writes every chunk in order, so the bytes and the byte count are those of
+``emit``.  A pipe holds 64 KiB, less than a chunk's text, so neither
+process gets more than about a chunk ahead of the writes.  A failure on
+either side kills and reaps the child and ends as one error.  Library
+``emit`` renders in the caller's process and never forks.
 """
 
 from __future__ import annotations
@@ -33,8 +44,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -114,17 +127,20 @@ _ROW_FORMAT = _csv_fields(COLUMNS)
 MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 
 #: Rows evaluated, rendered and written per chunk; sets a sweep's peak memory.
-#: Process peak RSS in MB through the CLI, then the median seconds of 5
-#: in-process ``emit`` runs (alternating, a shared 2-core x86-64 VM, Python
-#: 3.11, numpy 2.4; runs of the same code differ by 10-30%):
+#: The ``wait4`` peak RSS in MB of ``hyperspin sweep``, which renders in two
+#: processes, then its median wall seconds over 5 runs (the sizes alternating,
+#: a shared 2-core x86-64 VM, Python 3.11, numpy 2.4; runs of the same code
+#: differ by 10-30%):
 #:
 #:     rows    h1a CSV      h1a JSON     h2b CSV      h2b JSON
-#:     1,024   31.8  0.29   36.5  0.99   32.0  2.23   36.8  7.07
-#:     2,048   32.8  0.27   38.4  0.96   33.9  2.25   39.6  6.98
-#:     4,096   35.2  0.28   42.9  1.00   37.4  2.34   45.5  7.32
+#:     1,024   31.3  0.53   36.0  0.97   31.8  1.90   36.5  4.95
+#:     2,048   32.5  0.47   38.2  0.93   33.6  1.80   39.5  5.15
+#:     4,096   34.8  0.57   42.7  0.98   36.9  1.80   44.4  4.87
 #:
-#: A chunk renders its ``time, kernel, eta`` strings only when they are not
-#: those of the chunk before, so small chunks cost a phi sweep little.
+#: 1,024 peaks lower but is slower on three of the four, so 2,048 stays.  A
+#: chunk renders its ``time, kernel, eta`` strings only when they are not
+#: those of the chunk its process rendered before, so small chunks cost a
+#: phi sweep little.
 _CHUNK_ROWS = 1 << 11
 
 #: Most points one axis may have and most rows one sweep may have, checked
@@ -404,13 +420,16 @@ class _Columns:
     def __len__(self) -> int:
         return len(self.grid)
 
-    def _inputs(self) -> Iterator[tuple[np.ndarray, np.ndarray, dict, np.ndarray]]:
-        """Per chunk of rows: the row indices, and each row's ``(mu, tau,
-        time)`` point index, state constants and eta."""
+    def _inputs(
+        self, start: int = 0, stride: int = 1
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, dict, np.ndarray]]:
+        """Per chunk of rows, from chunk ``start`` on in steps of ``stride``
+        chunks: the row indices, and each row's ``(mu, tau, time)`` point
+        index, state constants and eta."""
         import numpy as np
 
-        for start in range(0, len(self), _CHUNK_ROWS):
-            rows = np.arange(start, min(start + _CHUNK_ROWS, len(self)))
+        for first in range(start * _CHUNK_ROWS, len(self), stride * _CHUNK_ROWS):
+            rows = np.arange(first, min(first + _CHUNK_ROWS, len(self)))
             i_state, i_point = np.divmod(rows, self.mu.size * self.kernel.size)
             i_mu, i_kernel = np.divmod(i_point, self.kernel.size)
             states = {name: col[i_state] for name, col in self.states.items()}
@@ -423,15 +442,16 @@ class _Columns:
             if bad.any():
                 self._raise_at(int(rows[bad.argmax()]))
 
-    def chunks(self) -> Iterator[_Chunk]:
-        """The rows, with their measures evaluated, a chunk at a time."""
+    def chunks(self, start: int = 0, stride: int = 1) -> Iterator[_Chunk]:
+        """The rows, with their measures evaluated, a chunk at a time: every
+        ``stride``-th chunk from chunk ``start`` on."""
         import numpy as np
 
         g = self.grid
         class_names = np.array([c.value for c in STEERING_CLASSES], dtype=object)
         n_tau = len(g.tau)
         points = point_columns = None
-        for rows, i_point, states, eta in self._inputs():
+        for rows, i_point, states, eta in self._inputs(start, stride):
             measures = _measure_chunk(states, eta)
             series, series_of_row = np.unique(rows // self.times.size, return_inverse=True)
             chunk_points, first, point_of_row = np.unique(
@@ -564,6 +584,7 @@ _JSON = _Format(
     ",%s%s" + _json_fields(_MEASURE_COLUMNS)[:-1] + "\n  }",
     _json_values,
 )
+_FORMATS = {"csv": _CSV, "json": _JSON}
 
 
 def _evaluate(grid: SweepGrid) -> _Columns:
@@ -669,8 +690,11 @@ def run_sweep(
 
     ``measures`` is a selector recorded in the metadata; every row always
     carries all measure fields (they share almost all of their arithmetic).
-    ``workers`` must be an integer >= 1 and changes nothing: evaluation is
-    serial.
+    ``workers`` must be an integer >= 1 and changes nothing: the result is
+    evaluated in the caller's process, and only the ``sweep`` command
+    renders in two (see the module docstring).  It stays only because
+    ``perfbench/run.py`` passes it, and goes with the next change to the
+    benchmark.
     """
     return _run(grid, measures, workers, None)
 
@@ -721,45 +745,151 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
     an object with ``metadata`` and a ``records`` array of flat objects
     carrying the same field names as the CSV columns, floats rounded to 12
     significant digits.  Either way the rows are evaluated, rendered and
-    written a chunk at a time.
+    written a chunk at a time, in this process.
     """
-    if fmt == "csv":
-        chunks: Iterable[str] = chain([CSV_HEADER + "\n"], _CSV.render(result._chunks()))
-    elif fmt == "json":
-        chunks = _json_document(result)
-    else:
-        raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}")
+    return _emit(result, fmt, sink, split=False)
 
+
+def _emit(result: SweepResult, fmt: str, sink: str | Path | IO[str], split: bool) -> int:
+    """``emit``; with ``split``, on Linux, a computed result of two or more
+    chunks has its odd chunks rendered by a forked child process.  The bytes
+    written and the count returned are the same either way."""
+    form = _FORMATS.get(fmt)
+    if form is None:
+        raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}")
+    columns = result._columns
+    if not split or sys.platform != "linux" or columns is None or len(columns) <= _CHUNK_ROWS:
+        columns = None
+    own = form.render(columns.chunks(0, 2) if columns is not None else result._chunks())
+    head, records, tail = _document(result, fmt, own)
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
-            return _write(chunks, fh)
-    return _write(chunks, sink)
+            return _write_document(fh, head, records, tail, form, columns)
+    return _write_document(sink, head, records, tail, form, columns)
 
 
-def _json_document(result: SweepResult) -> Iterator[str]:
-    """The JSON text in chunks.
+def _document(
+    result: SweepResult, fmt: str, records: Iterator[str]
+) -> tuple[str, Iterator[str], str]:
+    """The text before the records, the records, and the text after them.
 
-    The head and the first records are rendered before any is written, so a
-    result whose metadata or first rows cannot be rendered leaves a sink
-    file as it was.
+    The head and the first records are rendered here, before a sink file is
+    opened, so a result whose metadata or first rows cannot be rendered
+    leaves the file as it was.
     """
+    first = list(islice(records, 1))
+    if fmt == "csv":
+        return CSV_HEADER + "\n", _records_from(first, records), ""
     empty = json.dumps({"metadata": result.metadata, "records": []}, indent=1) + "\n"
-    records = _JSON.render(result._chunks())
-    first = next(records, None)
-    if first is None:
-        return iter([empty])
+    if not first:
+        return empty, iter(()), ""
     # "records" is the last member, so its "[]" is the last one in the text.
     head, _, tail = empty.rpartition("[]")
-    return _records_in(head + "[", [first], records, "\n ]" + tail)
-
-
-def _records_in(head: str, first: list[str], rest: Iterator[str], tail: str) -> Iterator[str]:
-    """``head``, the records, then ``tail``; no record text is kept once handed on."""
-    yield head
     # The first record has no record before it to be separated from.
-    yield first.pop()[1:]
+    first[0] = first[0][1:]
+    return head + "[", _records_from(first, records), "\n ]" + tail
+
+
+def _records_from(first: list[str], rest: Iterator[str]) -> Iterator[str]:
+    """The text in ``first``, if any, then ``rest``; no text is kept once handed on."""
+    if first:
+        yield first.pop()
     yield from rest
-    yield tail
+
+
+def _write_document(
+    fh: IO[str],
+    head: str,
+    records: Iterator[str],
+    tail: str,
+    form: _Format,
+    columns: _Columns | None,
+) -> int:
+    """Write ``head``, the records and ``tail`` to ``fh``; returns the bytes
+    written.
+
+    Given ``columns``, ``records`` are the even chunks of their rows.  A
+    forked child renders the odd chunks and sends each one's text through a
+    pipe, and each is written after the chunk before it.  If this process
+    fails, it kills the child; it always waits for it.
+    """
+    if columns is None:
+        return _write(chain([head], records, [tail]), fh)
+    import signal
+
+    # Nothing buffered for the output streams is copied into the child.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as out:
+        pid = os.fork()
+        if pid == 0:
+            pipe.close()
+            _render_odd_chunks(form, columns, out)
+        out.close()
+        try:
+            n_chunks = (len(columns) - 1) // _CHUNK_ROWS + 1
+            theirs = (_frame(pipe) for _ in range(n_chunks // 2))
+            nbytes = _write(chain([head], _interleaved(records, theirs), [tail]), fh)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        code = os.waitstatus_to_exitcode(status)
+        raise HyperspinError(f"the render process exited with status {code}")
+    return nbytes
+
+
+#: A frame is the size of the text that follows, in this many bytes, signed
+#: little-endian; a negative size is that of an error message instead.
+_FRAME_HEADER = 8
+
+
+def _render_odd_chunks(form: _Format, columns: _Columns, out: IO[bytes]) -> NoReturn:
+    """The forked child: send the text of each odd chunk of ``columns`` as a
+    frame, or the message of the error that stopped it."""
+    status = 1
+    try:
+        try:
+            for text in form.render(columns.chunks(1, 2)):
+                data = text.encode("utf-8")
+                # Keep no text while the next chunk is made.
+                del text
+                out.write(len(data).to_bytes(_FRAME_HEADER, "little", signed=True))
+                out.write(data)
+                del data
+            status = 0
+        except Exception as exc:
+            message = f"{type(exc).__name__}: {exc}".encode("utf-8")
+            out.write((-len(message)).to_bytes(_FRAME_HEADER, "little", signed=True) + message)
+        out.flush()
+    finally:
+        # Never return into the caller's code: its ``finally`` blocks,
+        # ``atexit`` handlers and open files belong to the parent.
+        os._exit(status)
+
+
+def _frame(pipe: IO[bytes]) -> str:
+    """The text of the next frame that the child sends."""
+    header = pipe.read(_FRAME_HEADER)
+    size = int.from_bytes(header, "little", signed=True)
+    data = pipe.read(abs(size))
+    if len(header) < _FRAME_HEADER or len(data) < abs(size):
+        raise HyperspinError("the render process ended before sending all rows")
+    if size < 0:
+        raise HyperspinError(f"the render process failed: {data.decode('utf-8')}")
+    return data.decode("utf-8")
+
+
+def _interleaved(own: Iterator[str], theirs: Iterator[str]) -> Iterator[str]:
+    """A text of ``own``, then one of ``theirs`` while it lasts, and so on."""
+    for text in own:
+        yield text
+        # Keep no text while the next one is read or made.
+        del text
+        yield from islice(theirs, 1)
 
 
 def _write(chunks: Iterable[str], fh: IO[str]) -> int:
