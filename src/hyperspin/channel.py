@@ -247,6 +247,12 @@ def _survival(k: Any, mu: Any) -> Any:
     return k2 + (1.0 - k2) * mu
 
 
+def _eta_outside(eta: Any) -> Any:
+    """Whether ``eta`` is NaN or outside [0, 1] by more than roundoff: a bool
+    for a float, a mask over rows for a numpy column."""
+    return (eta < 0.0) | (eta > 1.0 + PROB_ATOL) | (eta != eta)
+
+
 def dephase(rho: DensityMatrix4, eta: float) -> DensityMatrix4:
     """Scale the two anti-diagonal entries of an X state by ``eta``.
 
@@ -254,7 +260,7 @@ def dephase(rho: DensityMatrix4, eta: float) -> DensityMatrix4:
     (the block determinants only grow), so the result is built without
     re-validation from the four populations and the two scaled entries.
     """
-    if not 0.0 <= eta <= 1.0 + PROB_ATOL:
+    if _eta_outside(eta):
         raise DomainError(f"eta must be in [0, 1], got {eta}")
     return DensityMatrix4._of_entries(
         rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14 * eta, rho.rho23 * eta

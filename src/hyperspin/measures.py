@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple
 
-from .channel import PROB_ATOL
+from .channel import _eta_outside
 from .errors import DomainError
 from .production import DensityMatrix4, HyperonChannel, xstate_params
 
@@ -86,11 +86,11 @@ class FanoBloch:
 
 
 def _bloch_outside(*components: Any) -> Any:
-    """Whether a Bloch component lies outside [-1, 1] by more than roundoff:
-    a bool for floats, a mask over rows for numpy columns."""
+    """Whether a Bloch component is NaN or outside [-1, 1] by more than
+    roundoff: a bool for floats, a mask over rows for numpy columns."""
     outside = False
     for r in components:
-        outside = outside | (abs(r) > 1.0 + DOMAIN_ATOL)
+        outside = outside | (abs(r) > 1.0 + DOMAIN_ATOL) | (r != r)
     return outside
 
 
@@ -223,7 +223,7 @@ def _concurrence(w: Any, z: Any) -> Any:
 
 def concurrence_closed(ch: HyperonChannel, phi: float, eta: float) -> float:
     """Closed-form concurrence ``|eta * gamma2|`` straight from channel and angle."""
-    if not 0.0 <= eta <= 1.0 + PROB_ATOL:
+    if _eta_outside(eta):
         raise DomainError(f"eta must be in [0, 1], got {eta}")
     return abs(eta * xstate_params(ch, phi).gamma2)
 
@@ -238,9 +238,15 @@ def entanglement_of_formation(c: float) -> float:
     DomainError
         If ``c`` is outside [0, 1] by more than 1e-12.
     """
-    if not -DOMAIN_ATOL <= c <= 1.0 + DOMAIN_ATOL:
+    if _concurrence_outside(c):
         raise DomainError(f"concurrence must be in [0, 1], got {c}")
     return _eof(c, _FLOAT_OPS)
+
+
+def _concurrence_outside(c: Any) -> Any:
+    """Whether ``c`` is NaN or outside [0, 1] by more than roundoff: a bool
+    for a float, a mask over rows for a numpy column."""
+    return (c < -DOMAIN_ATOL) | (c > 1.0 + DOMAIN_ATOL) | (c != c)
 
 
 def _eof(c: Any, ops: _Ops) -> Any:

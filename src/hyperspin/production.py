@@ -118,10 +118,6 @@ class XStateParams:
                 f"gamma1 must carry the '+' branch: {self.gamma1} < {self.gamma2}"
             )
 
-    @property
-    def gamma(self) -> tuple[float, float, float]:
-        return (self.gamma1, self.gamma2, self.gamma3)
-
 
 def _check_trace(trace: complex) -> None:
     if abs(trace - 1.0) > TRACE_ATOL:

@@ -22,10 +22,11 @@ module does not load it.  Nor does ``point_row``, which evaluates the one
 row of a one-point grid (``hyperspin measure``) on the scalar path that
 also raises the engine's errors.
 
-The engine runs the measures' own formulas: the bodies in ``measures``
-that the scalar path (``dephase`` then ``measure_all``) runs on floats, here
-on numpy columns.  So the columns equal the scalar path bit for bit, which
-the test suite and ``hyperspin check`` verify row by row.
+The engine runs the scalar path's own formulas and domain checks: the
+bodies and predicates that ``dephase`` and ``measure_all`` run on floats,
+here on numpy columns.  So the columns equal the scalar path bit for bit,
+which the test suite and ``hyperspin check`` verify row by row, and the
+engine rejects exactly the rows that ``point_row`` rejects.
 
 The ``hyperspin sweep`` command renders in two processes.  Once
 ``run_sweep`` has built and checked the columns, and the sink is open, it
@@ -52,10 +53,9 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from ._version import __version__
-from .channel import PROB_ATOL, ChannelConfig, _survival, dephase, memory_kernel
+from .channel import ChannelConfig, _eta_outside, _survival, dephase, memory_kernel
 from .errors import DomainError, HyperspinError, UnknownPresetError
 from .measures import (
-    DOMAIN_ATOL,
     STEERING_CLASSES,
     MeasureRecord,
     SteeringClass,
@@ -64,6 +64,7 @@ from .measures import (
     _bloch_outside,
     _coherence_l1,
     _concurrence,
+    _concurrence_outside,
     _diagonal_bloch,
     _discord,
     _eof,
@@ -319,7 +320,8 @@ def _dephased(
     ``st`` holds the ``_state_constants`` of each row's state.  Returns the
     moduli ``|w|``, ``|z|`` of the dephased anti-diagonal, the concurrence,
     the Bloch components ``r11``, ``r22``, and a mask of the rows on which
-    ``dephase`` or ``measure_all`` would raise.
+    ``dephase`` or ``measure_all`` would raise: the domain predicates those
+    functions run on floats, here run on the columns.
     """
     w = st["r14"] * eta
     z = st["r23"] * eta
@@ -327,8 +329,7 @@ def _dephased(
     z_abs = abs(z)
     conc = _concurrence(w_abs, z_abs)
     r11, r22 = _anti_diagonal_bloch(w, z)
-    bad = ~((0.0 <= eta) & (eta <= 1.0 + PROB_ATOL))
-    bad |= ~((-DOMAIN_ATOL <= conc) & (conc <= 1.0 + DOMAIN_ATOL))
+    bad = _eta_outside(eta) | _concurrence_outside(conc)
     bad |= _bloch_outside(r11, r22) | st["bloch_bad"]
     return w_abs, z_abs, conc, r11, r22, bad
 
@@ -369,27 +370,6 @@ def _kernel_at(grid: SweepGrid, cfg: ChannelConfig, t: float) -> float:
         return memory_kernel(t, cfg).k
     except HyperspinError as exc:
         raise _in_context(exc, grid.channel, grid.phi[0], grid.mu[0], cfg.tau, t) from exc
-
-
-def _scalar_row(
-    rho0: DensityMatrix4,
-    channel: str,
-    phi: float,
-    mu: float,
-    tau: float,
-    regime: str,
-    t: float,
-    k: float,
-) -> SweepRow:
-    """The row at one grid point on the scalar path: ``rho0`` dephased by the
-    eta of kernel value ``k``, then ``measure_all``; an error is extended by
-    the point's coordinates."""
-    e = _survival(k, mu)
-    try:
-        record = measure_all(dephase(rho0, e), e, k)
-    except HyperspinError as exc:
-        raise _in_context(exc, channel, phi, mu, tau, t) from exc
-    return SweepRow(channel, phi, mu, tau, regime, t, record)
 
 
 #: A chunk of consecutive rows: the distinct series it covers (one list per
@@ -482,17 +462,17 @@ class _Columns:
             yield series_columns, series_of_row, point_columns, point_of_row, measure_columns
 
     def _raise_at(self, row: int) -> NoReturn:
-        """Raise the error of the scalar path at a row ``check`` flagged."""
-        g, times = self.grid, self.times.tolist()
-        i_series, i_time = divmod(row, len(times))
-        i_phi_mu, i_tau = divmod(i_series, len(g.tau))
-        i_phi, i_mu = divmod(i_phi_mu, len(g.mu))
-        k = float(self.kernel[i_tau * len(times) + i_time])
-        rho0 = density_matrix(channel_params(g.channel), g.phi[i_phi])
-        _scalar_row(
-            rho0, g.channel, g.phi[i_phi], g.mu[i_mu], g.tau[i_tau], self.regimes[i_tau],
-            times[i_time], k,
-        )  # fmt: skip
+        """Raise the error of the scalar path at a row ``check`` flagged:
+        ``point_row`` of the one-point grid at that row's coordinates."""
+        import numpy as np
+
+        g = self.grid
+        i_phi, i_mu, i_tau, i_time = np.unravel_index(
+            row, (len(g.phi), len(g.mu), len(g.tau), self.times.size)
+        )
+        t = float(self.times[i_time])
+        time = TimeGrid(t, t, 1.0)
+        point_row(SweepGrid(g.channel, (g.phi[i_phi],), (g.mu[i_mu],), (g.tau[i_tau],), time))
         raise HyperspinError(f"sweep row {row} flagged as invalid, but the scalar path accepts it")
 
 
@@ -591,8 +571,8 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     """Build the per-phi, per-(tau, t) and per-point inputs of every row and
     check every row, raising like the scalar path.
 
-    A row on which ``dephase`` or ``measure_all`` would raise is re-run on
-    that path to raise its error, extended by the row's coordinates; the
+    A row on which ``dephase`` or ``measure_all`` would raise is re-run by
+    ``point_row`` to raise its error, extended by the row's coordinates; the
     first such row in grid order is the one reported.
     """
     import numpy as np
@@ -700,10 +680,12 @@ def run_sweep(
 
 
 def point_row(grid: SweepGrid) -> SweepRow:
-    """The row of ``grid``, which has one point, evaluated on the scalar path.
+    """The row of ``grid``, which has one point, on the scalar path: the
+    kernel, ``dephase`` and ``measure_all``, whose errors name the point.
 
     Gives the row that ``run_sweep(grid).rows[0]`` gives, bit for bit, and
-    raises what ``run_sweep(grid)`` raises, without loading numpy.
+    raises what ``run_sweep(grid)`` raises, without loading numpy: a sweep
+    raises the error of the first row it rejects through this function.
     """
     channel, phi, mu, tau = grid.channel, grid.phi[0], grid.mu[0], grid.tau[0]
     # The order of ``_evaluate``: the state, the config, then the kernel.
@@ -711,7 +693,13 @@ def point_row(grid: SweepGrid) -> SweepRow:
     cfg = ChannelConfig(mu=mu, tau=tau)
     # The engine's time, ``start + 0 * step``, which turns -0 into 0.
     t = grid.time.values()[0]
-    return _scalar_row(rho0, channel, phi, mu, tau, cfg.regime.value, t, _kernel_at(grid, cfg, t))
+    k = _kernel_at(grid, cfg, t)
+    e = _survival(k, mu)
+    try:
+        record = measure_all(dephase(rho0, e), e, k)
+    except HyperspinError as exc:
+        raise _in_context(exc, channel, phi, mu, tau, t) from exc
+    return SweepRow(channel, phi, mu, tau, cfg.regime.value, t, record)
 
 
 def _run(

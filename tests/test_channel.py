@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hyperspin import (
     ChannelConfig,
     DomainError,
+    FanoBloch,
     HyperonChannel,
     HyperspinError,
     InvalidKernelError,
@@ -177,6 +178,7 @@ def test_joint_probabilities_validation():
         lambda: JointProbabilities([[1, 2], [3]]),
         lambda: XStateParams(float("nan"), 0.5, 0.1, 0.0),
         lambda: XStateParams(0.0, float("nan"), 0.1, 0.0),
+        lambda: FanoBloch(float("nan"), 0.0, 0.0, 0.0, 0.0),
     ],
     ids=[
         "nan-kernel",
@@ -186,6 +188,7 @@ def test_joint_probabilities_validation():
         "ragged-table",
         "nan-kappa",
         "nan-gamma",
+        "nan-bloch",
     ],
 )
 def test_range_checks_reject_nan_and_unreadable_input(call):

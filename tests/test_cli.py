@@ -17,6 +17,7 @@ import hyperspin.sweep as sweep_module
 from hyperspin import (
     CHANNELS,
     DensityMatrix4,
+    DomainError,
     KernelValue,
     SweepGrid,
     TimeGrid,
@@ -491,6 +492,17 @@ def _kernel_above_one_at(t_bad):
     return patched
 
 
+def _kernel_failing_at(t_bad):
+    real = sweep_module.memory_kernel
+
+    def patched(t, cfg):
+        if t == t_bad:
+            raise DomainError("no kernel here")
+        return real(t, cfg)
+
+    return patched
+
+
 def _bogus_state(w, z):
     def patched(ch, phi):
         return DensityMatrix4._of_entries(0.25, 0.25, 0.25, 0.25, complex(w), complex(z))
@@ -526,6 +538,10 @@ def _bogus_state(w, z):
             {"memory_kernel": _kernel_above_one_at(1.0),
              "density_matrix": _bogus_state(0.9, 0.0)},
         ),  # fmt: skip
+        (
+            ("--phi", "0", "--mu", "0", "--tau", "0.1", "--time", "1.0"),
+            {"memory_kernel": _kernel_failing_at(1.0)},
+        ),
     ],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])

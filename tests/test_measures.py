@@ -37,8 +37,9 @@ from hyperspin import (
     steering_bounds,
     steering_operator,
 )
+from hyperspin.channel import _eta_outside
 from hyperspin.linalg import partial_trace
-from hyperspin.measures import GQD_DENOMINATOR_ATOL
+from hyperspin.measures import GQD_DENOMINATOR_ATOL, _bloch_outside, _concurrence_outside
 from hyperspin.production import DensityMatrix4
 
 HALF_PI = math.pi / 2.0
@@ -324,6 +325,24 @@ def test_gqd_rejects_bloch_component_out_of_range_as_fano_bloch(diagonal, r14):
         geometric_discord(rho)
     assert str(from_discord.value) == str(from_fano_bloch.value)
     assert str(from_discord.value).startswith("Bloch component 1.000000001 outside")
+
+
+@pytest.mark.parametrize(
+    ("outside", "lo", "hi"),
+    [
+        (_eta_outside, 0.0, 1.0 + 1e-12),
+        (_concurrence_outside, -1e-12, 1.0 + 1e-12),
+        (_bloch_outside, -1.0 - 1e-12, 1.0 + 1e-12),
+    ],
+    ids=["eta", "concurrence", "bloch"],
+)
+def test_domain_predicates_agree_on_floats_and_columns(outside, lo, hi):
+    # One predicate per quantity serves the scalar checks and the sweep's mask.
+    edges = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    values = [*edges, 0.5, -0.0, math.nan, math.inf, -math.inf]
+    want = [not lo <= v <= hi for v in values]
+    assert [outside(v) for v in values] == want
+    assert outside(np.array(values)).tolist() == want
 
 
 def test_gqd_lambda_half_pi():

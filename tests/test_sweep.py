@@ -15,6 +15,7 @@ import hyperspin.sweep as sweep_module
 from hyperspin import (
     DensityMatrix4,
     DomainError,
+    HyperspinError,
     KernelValue,
     PRESETS,
     SweepGrid,
@@ -466,13 +467,25 @@ def test_metadata_read_late_is_the_eager_dict():
 
 
 # Patched layers that make the scalar path raise: a kernel above 1 (eta check),
-# and a state whose anti-diagonal breaks the concurrence or Bloch-vector domain.
+# a kernel that raises, and a state whose anti-diagonal breaks the concurrence
+# or Bloch-vector domain.
 def _kernel_above_one_at(t_bad):
     real = sweep_module.memory_kernel
 
     def patched(t, cfg):
         kv = real(t, cfg)
         return KernelValue(1.2, kv.u, kv.v) if t == t_bad else kv
+
+    return patched
+
+
+def _kernel_failing_at(t_bad):
+    real = sweep_module.memory_kernel
+
+    def patched(t, cfg):
+        if t == t_bad:
+            raise DomainError("no kernel here")
+        return real(t, cfg)
 
     return patched
 
@@ -509,6 +522,12 @@ def _bogus_state_at(phi_bad, w, z):
             "Bloch component 1.8 outside [-1, 1] "
             "[at channel=lambda, phi=1.5707963267948966, mu=0.0, tau=0.1, time=0.0]",
         ),
+        (
+            # The kernel is evaluated per (tau, t): the first row there is named.
+            "memory_kernel",
+            _kernel_failing_at(1.0),
+            "no kernel here [at channel=lambda, phi=0.0, mu=0.0, tau=0.1, time=1.0]",
+        ),
     ],
 )
 def test_first_offending_row_is_reported(monkeypatch, layer, patch, message):
@@ -524,6 +543,23 @@ def test_eta_error_precedes_later_state_error(monkeypatch):
     monkeypatch.setattr(sweep_module, "density_matrix", _bogus_state_at(HALF_PI, 0.9, 0.0))
     with pytest.raises(DomainError, match=r"^eta must be .* phi=0\.0, mu=0\.0, .*time=1\.0\]$"):
         run_sweep(small_grid())
+
+
+def test_row_flagged_but_accepted_by_the_scalar_path_is_an_error(monkeypatch):
+    # A mask that disagrees with the scalar path is a bug, never a silent pass.
+    real = sweep_module._dephased
+
+    def flags_row_7(st, eta):
+        *columns, bad = real(st, eta)
+        assert not bad.any() and bad.size == 12
+        bad[7] = True
+        return *columns, bad
+
+    monkeypatch.setattr(sweep_module, "_dephased", flags_row_7)
+    with pytest.raises(HyperspinError) as info:
+        run_sweep(small_grid())
+    assert type(info.value) is HyperspinError
+    assert str(info.value) == "sweep row 7 flagged as invalid, but the scalar path accepts it"
 
 
 def test_sweep_oracle_suite_passes_and_detects_a_mismatch(monkeypatch):
