@@ -61,18 +61,7 @@ from .production import (
     polarization,
     xstate_params,
 )
-from .sweep import (
-    PRESETS,
-    FigurePreset,
-    SweepGrid,
-    SweepResult,
-    SweepRow,
-    TimeGrid,
-    emit,
-    figure_preset,
-    run_preset,
-    run_sweep,
-)
+from .grid import SweepGrid, SweepRow, TimeGrid
 
 __all__ = [
     "__version__",
@@ -132,3 +121,22 @@ __all__ = [
     "steering_operator",
     "xstate_params",
 ]
+
+#: Names read from the sweep engine, ``hyperspin.sweep``, which is imported
+#: on first read, so ``import hyperspin`` and one point load none of it.
+_ENGINE_NAMES = frozenset(
+    ("PRESETS", "FigurePreset", "SweepResult", "emit", "figure_preset", "run_preset", "run_sweep")
+)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _ENGINE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sweep
+
+    value = globals()[name] = getattr(sweep, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ENGINE_NAMES})

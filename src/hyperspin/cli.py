@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from ._version import __version__
 from .errors import (
@@ -21,17 +22,8 @@ from .errors import (
     UnknownChannelError,
     UnknownPresetError,
 )
+from .grid import CSV_HEADER, SweepGrid, TimeGrid, check_range, point_row
 from .production import channel_params
-from .sweep import (
-    CSV_HEADER,
-    SweepGrid,
-    TimeGrid,
-    _emit,
-    check_range,
-    point_row,
-    run_preset,
-    run_sweep,
-)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -179,6 +171,9 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # The sweep engine loads here; the other commands never import it.
+    from .sweep import _emit, run_preset, run_sweep
+
     explicit = (args.grid, args.channel, args.phi, args.phi_deg, args.mu, args.tau)
     if args.figure and any(x not in (None, []) for x in explicit):
         raise GridSyntaxError("--figure and explicit grid flags are mutually exclusive")
@@ -237,5 +232,32 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_RUNTIME
 
 
+def entry() -> NoReturn:
+    """Run ``main`` as the ``hyperspin`` command and end the process with
+    its exit code, skipping the interpreter's teardown.
+
+    When ``main`` returns, every output file it opened is closed, so only
+    the two streams hold unwritten text.  Once they are flushed, nothing is
+    left for the teardown to do but free each module and object one by one:
+    14 ms of a ``measure`` process, and 18-37 ms of a sweep once numpy is
+    loaded (m08 and h1a).  So the process leaves through ``os._exit``.  If
+    a flush fails, it leaves through ``sys.exit`` as a plain script would,
+    and the teardown reports what it must.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        # argparse leaves this way after --help, --version or a usage error.
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        # A stream that is missing (None), closed or failing: the teardown
+        # retries the flush and reports its error.
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -17,10 +17,13 @@ Rendering formats each string that repeats once where it can: the
 tau, t)`` points, so a phi sweep renders its time axis once.  CSV and JSON
 are rendered the same way, from one ``%`` template per column group.
 
-numpy is imported inside the functions that use it, so importing this
-module does not load it.  Nor does ``point_row``, which evaluates the one
-row of a one-point grid (``hyperspin measure``) on the scalar path that
-also raises the engine's errors.
+The grid types, the column table, ``MAX_ROWS`` and ``point_row``, the
+scalar row path that ``hyperspin measure`` prints and that also raises the
+engine's errors, live in ``hyperspin.grid``, so one point loads nothing of
+this module.  Names that moved there can still be read from here.  numpy
+is imported inside the functions that use it, so importing this module
+does not load it; ``hyperspin`` imports this module only when one of the
+engine's names (``run_sweep``, ``emit``, ``PRESETS``, ...) is first read.
 
 The engine runs the scalar path's own formulas and domain checks: the
 bodies and predicates that ``dephase`` and ``measure_all`` run on floats,
@@ -52,9 +55,22 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
+from . import grid as grid_module
 from ._version import __version__
-from .channel import ChannelConfig, _eta_outside, _survival, dephase, memory_kernel
+from .channel import ChannelConfig, _eta_outside, _survival
 from .errors import DomainError, HyperspinError, UnknownPresetError
+from .grid import (
+    COLUMN_NAMES,
+    COLUMNS,
+    CSV_HEADER,
+    FLOAT_FORMAT,
+    SweepGrid,
+    SweepRow,
+    TimeGrid,
+    _csv_fields,
+    _kernel_at,
+    point_row,
+)
 from .measures import (
     STEERING_CLASSES,
     MeasureRecord,
@@ -71,40 +87,13 @@ from .measures import (
     _Ops,
     _steering,
     _steering_bounds,
-    measure_all,
 )
-from .production import PHI_ATOL, DensityMatrix4, channel_params, density_matrix
+from .production import DensityMatrix4, channel_params
 
 if TYPE_CHECKING:
     import numpy as np
 
 KERNEL_VARIANT = "telegraph-paired-cos-sin/cosh-sinh-u-over-v"
-
-FLOAT_FORMAT = "%.12g"
-
-#: The output columns in order, each with its kind: ``float`` columns render
-#: with 12 significant digits, ``str`` columns verbatim.  CSV_HEADER, the row
-#: formats and ``SweepRow.as_dict`` all derive from this table.
-COLUMNS: tuple[tuple[str, type], ...] = (
-    ("channel", str),
-    ("phi", float),
-    ("mu", float),
-    ("tau", float),
-    ("regime", str),
-    ("time", float),
-    ("kernel", float),
-    ("eta", float),
-    ("s_ab", float),
-    ("s_ba", float),
-    ("delta_s", float),
-    ("steering_class", str),
-    ("concurrence", float),
-    ("eof", float),
-    ("gqd", float),
-    ("coherence_l1", float),
-)
-COLUMN_NAMES = tuple(name for name, _ in COLUMNS)
-CSV_HEADER = ",".join(COLUMN_NAMES)
 
 # Column groups: fixed per (phi, mu, tau) series, fixed per (mu, tau, time)
 # point, and the measures, which vary per row.
@@ -113,17 +102,11 @@ _POINT_COLUMNS = COLUMNS[5:8]
 _MEASURE_COLUMNS = COLUMNS[8:]
 
 
-def _csv_fields(columns: Sequence[tuple[str, type]]) -> str:
-    return ",".join(FLOAT_FORMAT if kind is float else "%s" for _, kind in columns)
-
-
 def _json_fields(columns: Sequence[tuple[str, type]]) -> str:
     """Members of a record as ``json.dumps(..., indent=1)`` lays out a record
     of the ``records`` array, each value a ``%s`` for its JSON rendering."""
     return "".join(f"\n   {json.dumps(name)}: %s," for name, _ in columns)
 
-
-_ROW_FORMAT = _csv_fields(COLUMNS)
 
 MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 
@@ -143,133 +126,6 @@ MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 #: those of the chunk its process rendered before, so small chunks cost a
 #: phi sweep little.
 _CHUNK_ROWS = 1 << 11
-
-#: Most points one axis may have and most rows one sweep may have, checked
-#: before anything is allocated: about 20x the largest preset (h2b, 505,101
-#: rows).  A sweep keeps 8 bytes of kernel per ``(tau, time)`` pair, at
-#: most 80 MB at the cap, and evaluates eta and the measures a chunk of rows
-#: at a time.  Change it by assigning ``hyperspin.sweep.MAX_ROWS``.
-MAX_ROWS = 10_000_000
-
-def check_range(axis: str, start: float, stop: float, step: float) -> int:
-    """Validate the progression ``start, start + step, ...`` up to ``stop`` of
-    the named axis and return its number of points.
-
-    Raises
-    ------
-    DomainError
-        If a bound is not finite, ``step <= 0`` or ``stop < start``; the
-        message names ``axis``.
-    """
-    for name, value in (("start", start), ("stop", stop), ("step", step)):
-        if not math.isfinite(value):
-            raise DomainError(f"{axis} {name} must be finite, got {value}")
-    if step <= 0.0:
-        raise DomainError(f"{axis} step must be > 0, got {step}")
-    if stop < start:
-        raise DomainError(f"{axis} stop must be >= start")
-    # Compared as a float first: the quotient may be too large (or inf) for int.
-    steps = (stop - start) / step + 1e-9
-    if steps >= MAX_ROWS:
-        raise DomainError(
-            f"{axis} range has about {steps + 1:.3g} points, more than MAX_ROWS = {MAX_ROWS}"
-        )
-    return int(math.floor(steps)) + 1
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Arithmetic time progression [start, stop] with the given step."""
-
-    start: float
-    stop: float
-    step: float
-
-    def __post_init__(self) -> None:
-        check_range("time", self.start, self.stop, self.step)
-        if self.start < 0.0:
-            raise DomainError("time start must be >= 0")
-
-    def __len__(self) -> int:
-        return check_range("time", self.start, self.stop, self.step)
-
-    def values(self) -> list[float]:
-        return [self.start + k * self.step for k in range(len(self))]
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """One channel swept over lists of phi, mu, tau and a time progression."""
-
-    channel: str
-    phi: tuple[float, ...]
-    mu: tuple[float, ...]
-    tau: tuple[float, ...]
-    time: TimeGrid
-
-    def __post_init__(self) -> None:
-        channel_params(self.channel)
-        for name, values in (("phi", self.phi), ("mu", self.mu), ("tau", self.tau)):
-            if len(values) == 0:
-                raise DomainError(f"{name} list must be non-empty")
-        for p in self.phi:
-            if not -PHI_ATOL <= p <= math.pi + PHI_ATOL:
-                raise DomainError(f"phi value {p} outside [0, pi]")
-        for m in self.mu:
-            if not 0.0 <= m <= 1.0:
-                raise DomainError(f"mu value {m} outside [0, 1]")
-        for t in self.tau:
-            if not 0.0 < t < math.inf:
-                raise DomainError(f"tau value {t} must be finite and > 0")
-
-    def __len__(self) -> int:
-        return len(self.phi) * len(self.mu) * len(self.tau) * len(self.time)
-
-    def spec(self) -> dict[str, Any]:
-        return {
-            "channel": self.channel,
-            "phi": list(self.phi),
-            "mu": list(self.mu),
-            "tau": list(self.tau),
-            "time": {"start": self.time.start, "stop": self.time.stop, "step": self.time.step},
-        }
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: its coordinates plus the full measure record."""
-
-    channel: str
-    phi: float
-    mu: float
-    tau: float
-    regime: str
-    time: float
-    record: MeasureRecord
-
-    def values(self) -> tuple:
-        """The row's values in ``COLUMNS`` order."""
-        r = self.record
-        s = r.steering
-        return (
-            self.channel, self.phi, self.mu, self.tau, self.regime, self.time,
-            r.kernel, r.eta, s.s_ab, s.s_ba, s.delta_s, s.steering_class.value,
-            r.concurrence, r.eof, r.gqd, r.coherence_l1,
-        )  # fmt: skip
-
-    def csv_line(self) -> str:
-        return _ROW_FORMAT % self.values()
-
-    def as_dict(self) -> dict[str, Any]:
-        return _json_record(self.values())
-
-
-def _json_record(values: Sequence[Any]) -> dict[str, Any]:
-    """One JSON record: floats rounded through their 12-digit rendering."""
-    return {
-        name: float(FLOAT_FORMAT % v) if kind is float else v
-        for (name, kind), v in zip(COLUMNS, values)
-    }
 
 
 def _row_of(values: Sequence[Any]) -> SweepRow:
@@ -353,23 +209,6 @@ def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> list[np.ndarra
         _discord(r11, r22, st["r33"], st["r30"], ops),
         _coherence_l1(w_abs, z_abs),
     ]
-
-
-def _in_context(
-    exc: HyperspinError, channel: str, phi: float, mu: float, tau: float, t: float
-) -> HyperspinError:
-    return type(exc)(
-        f"{exc} [at channel={channel}, phi={phi!r}, mu={mu!r}, tau={tau!r}, time={t!r}]"
-    )
-
-
-def _kernel_at(grid: SweepGrid, cfg: ChannelConfig, t: float) -> float:
-    """``memory_kernel(t, cfg).k``; an error is extended by the coordinates of
-    the first row of ``grid`` at ``(cfg.tau, t)``."""
-    try:
-        return memory_kernel(t, cfg).k
-    except HyperspinError as exc:
-        raise _in_context(exc, grid.channel, grid.phi[0], grid.mu[0], cfg.tau, t) from exc
 
 
 #: A chunk of consecutive rows: the distinct series it covers (one list per
@@ -578,8 +417,10 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     import numpy as np
 
     ch = channel_params(grid.channel)
-    # One state at a time: only its constants are kept.
-    constants = _state_constants(density_matrix(ch, p) for p in grid.phi)
+    # One state at a time: only its constants are kept.  Looked up in
+    # ``grid``, where ``point_row`` looks it up.
+    states = (grid_module.density_matrix(ch, p) for p in grid.phi)
+    constants = _state_constants(states)
     times = grid.time.values()
     kernel = []
     regimes = []
@@ -679,29 +520,6 @@ def run_sweep(
     return _run(grid, measures, workers, None)
 
 
-def point_row(grid: SweepGrid) -> SweepRow:
-    """The row of ``grid``, which has one point, on the scalar path: the
-    kernel, ``dephase`` and ``measure_all``, whose errors name the point.
-
-    Gives the row that ``run_sweep(grid).rows[0]`` gives, bit for bit, and
-    raises what ``run_sweep(grid)`` raises, without loading numpy: a sweep
-    raises the error of the first row it rejects through this function.
-    """
-    channel, phi, mu, tau = grid.channel, grid.phi[0], grid.mu[0], grid.tau[0]
-    # The order of ``_evaluate``: the state, the config, then the kernel.
-    rho0 = density_matrix(channel_params(channel), phi)
-    cfg = ChannelConfig(mu=mu, tau=tau)
-    # The engine's time, ``start + 0 * step``, which turns -0 into 0.
-    t = grid.time.values()[0]
-    k = _kernel_at(grid, cfg, t)
-    e = _survival(k, mu)
-    try:
-        record = measure_all(dephase(rho0, e), e, k)
-    except HyperspinError as exc:
-        raise _in_context(exc, channel, phi, mu, tau, t) from exc
-    return SweepRow(channel, phi, mu, tau, cfg.regime.value, t, record)
-
-
 def _run(
     grid: SweepGrid,
     measures: Sequence[str] | None,
@@ -714,8 +532,9 @@ def _run(
             raise DomainError(f"unknown measure {name!r}; known: {MEASURE_NAMES}")
     if workers is not None and not (isinstance(workers, int) and workers >= 1):
         raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
-    if len(grid) > MAX_ROWS:
-        raise DomainError(f"grid has {len(grid)} rows, more than MAX_ROWS = {MAX_ROWS}")
+    cap = grid_module.MAX_ROWS
+    if len(grid) > cap:
+        raise DomainError(f"grid has {len(grid)} rows, more than MAX_ROWS = {cap}")
     return SweepResult._of_columns(_evaluate(grid), selected, preset)
 
 
@@ -956,3 +775,12 @@ def figure_preset(preset_id: str) -> FigurePreset:
         raise UnknownPresetError(
             f"unknown preset {preset_id!r}; known: {sorted(PRESETS)}"
         ) from None
+
+
+def __getattr__(name: str) -> Any:
+    """What moved to ``hyperspin.grid`` (``MAX_ROWS``, ``check_range``,
+    ``memory_kernel``, ...), read from there, so the value is the one in force."""
+    try:
+        return getattr(grid_module, name)
+    except AttributeError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hyperspin.sweep as sweep_module
+import hyperspin.grid as grid_module
 from hyperspin import (
     CHANNELS,
     DensityMatrix4,
@@ -483,7 +483,7 @@ def test_measure_past_the_kernel_rates_prints_the_run_sweep_row(fmt, tau, t):
 
 
 def _kernel_above_one_at(t_bad):
-    real = sweep_module.memory_kernel
+    real = grid_module.memory_kernel
 
     def patched(t, cfg):
         kv = real(t, cfg)
@@ -493,7 +493,7 @@ def _kernel_above_one_at(t_bad):
 
 
 def _kernel_failing_at(t_bad):
-    real = sweep_module.memory_kernel
+    real = grid_module.memory_kernel
 
     def patched(t, cfg):
         if t == t_bad:
@@ -547,7 +547,7 @@ def _bogus_state(w, z):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_measure_fails_as_run_sweep_does(monkeypatch, argv, layers, fmt):
     for name, patch in layers.items():
-        monkeypatch.setattr(sweep_module, name, patch)
+        monkeypatch.setattr(grid_module, name, patch)
     full = ["measure", "--channel", "lambda", *argv, "--format", fmt]
     with monkeypatch.context() as m:
         m.setattr(cli, "point_row", lambda grid: run_sweep(grid).rows[0])
@@ -560,28 +560,31 @@ def test_measure_fails_as_run_sweep_does(monkeypatch, argv, layers, fmt):
     assert (code, out, err) == want
 
 
-#: Run in a fresh interpreter: each step, then whether numpy is loaded.
+#: Run in a fresh interpreter: each step, then which of numpy and the sweep
+#: engine are loaded.
 NUMPY_PROBE = """\
 import json
 import sys
 steps = {}
+def loaded():
+    return [name for name in ("numpy", "hyperspin.sweep") if name in sys.modules]
 import hyperspin
-steps["import"] = "numpy" in sys.modules
+steps["import"] = loaded()
 exec(compile(QUICK_TOUR, "README", "exec"), {})
-steps["quick tour"] = "numpy" in sys.modules
+steps["quick tour"] = loaded()
 from hyperspin.cli import main
 try:
     main(["--version"])
 except SystemExit as exc:
     assert exc.code == 0
-steps["--version"] = "numpy" in sys.modules
+steps["--version"] = loaded()
 for fmt in ("json", "csv"):
     assert main([*MEASURE, "--format", fmt, "--out", OUT]) == 0
-    steps["measure " + fmt] = "numpy" in sys.modules
+    steps["measure " + fmt] = loaded()
 assert main(["params", "--channel", "xi0"]) == 0
-steps["params"] = "numpy" in sys.modules
+steps["params"] = loaded()
 assert main(["sweep", "--figure", "m08", "--out", OUT]) == 0
-steps["sweep"] = "numpy" in sys.modules
+steps["sweep"] = loaded()
 print(json.dumps(steps))
 """
 
@@ -599,11 +602,11 @@ def test_point_commands_leave_numpy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.splitlines()[-1])
     assert steps == {
-        "import": False,
-        "quick tour": False,
-        "--version": False,
-        "measure json": False,
-        "measure csv": False,
-        "params": False,
-        "sweep": True,
+        "import": [],
+        "quick tour": [],
+        "--version": [],
+        "measure json": [],
+        "measure csv": [],
+        "params": [],
+        "sweep": ["numpy", "hyperspin.sweep"],
     }

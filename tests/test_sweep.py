@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hyperspin.grid as grid_module
 import hyperspin.selfcheck as selfcheck_module
 import hyperspin.sweep as sweep_module
 from hyperspin import (
@@ -470,7 +471,7 @@ def test_metadata_read_late_is_the_eager_dict():
 # a kernel that raises, and a state whose anti-diagonal breaks the concurrence
 # or Bloch-vector domain.
 def _kernel_above_one_at(t_bad):
-    real = sweep_module.memory_kernel
+    real = grid_module.memory_kernel
 
     def patched(t, cfg):
         kv = real(t, cfg)
@@ -480,7 +481,7 @@ def _kernel_above_one_at(t_bad):
 
 
 def _kernel_failing_at(t_bad):
-    real = sweep_module.memory_kernel
+    real = grid_module.memory_kernel
 
     def patched(t, cfg):
         if t == t_bad:
@@ -491,7 +492,7 @@ def _kernel_failing_at(t_bad):
 
 
 def _bogus_state_at(phi_bad, w, z):
-    real = sweep_module.density_matrix
+    real = grid_module.density_matrix
 
     def patched(ch, phi):
         if phi != phi_bad:
@@ -531,7 +532,7 @@ def _bogus_state_at(phi_bad, w, z):
     ],
 )
 def test_first_offending_row_is_reported(monkeypatch, layer, patch, message):
-    monkeypatch.setattr(sweep_module, layer, patch)
+    monkeypatch.setattr(grid_module, layer, patch)
     with pytest.raises(DomainError) as info:
         run_sweep(small_grid())
     assert str(info.value) == message
@@ -539,8 +540,8 @@ def test_first_offending_row_is_reported(monkeypatch, layer, patch, message):
 
 def test_eta_error_precedes_later_state_error(monkeypatch):
     # Row 2 (phi=0, t=1) fails the eta check before any row of the bogus phi.
-    monkeypatch.setattr(sweep_module, "memory_kernel", _kernel_above_one_at(1.0))
-    monkeypatch.setattr(sweep_module, "density_matrix", _bogus_state_at(HALF_PI, 0.9, 0.0))
+    monkeypatch.setattr(grid_module, "memory_kernel", _kernel_above_one_at(1.0))
+    monkeypatch.setattr(grid_module, "density_matrix", _bogus_state_at(HALF_PI, 0.9, 0.0))
     with pytest.raises(DomainError, match=r"^eta must be .* phi=0\.0, mu=0\.0, .*time=1\.0\]$"):
         run_sweep(small_grid())
 
@@ -591,8 +592,8 @@ def test_row_cap_rejects_before_allocating(monkeypatch):
 
 
 def test_row_cap_is_the_module_constant(monkeypatch):
-    assert sweep_module.MAX_ROWS >= 10 * len(figure_preset("h2b").grid)
-    monkeypatch.setattr(sweep_module, "MAX_ROWS", 10)
+    assert grid_module.MAX_ROWS >= 10 * len(figure_preset("h2b").grid)
+    monkeypatch.setattr(grid_module, "MAX_ROWS", 10)
     assert len(TimeGrid(0.0, 9.0, 1.0)) == 10
     with pytest.raises(DomainError, match="MAX_ROWS = 10"):
         TimeGrid(0.0, 10.0, 1.0)
