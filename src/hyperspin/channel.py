@@ -55,26 +55,30 @@ class ChannelConfig:
     #: Decided once, from ``tau``, when the config is built.
     regime: Regime = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mu <= 1.0:
-            raise DomainError(f"mu must be in [0, 1], got {self.mu}")
-        if not 0.0 < self.tau < math.inf:
-            raise DomainError(f"tau must be finite and > 0, got {self.tau}")
+    def __init__(self, mu: float, tau: float) -> None:
+        if not 0.0 <= mu <= 1.0:
+            raise DomainError(f"mu must be in [0, 1], got {mu}")
+        if not 0.0 < tau < math.inf:
+            raise DomainError(f"tau must be finite and > 0, got {tau}")
         # Python floats: an np.float64 tau would warn where u * u overflows.
-        tau = float(self.tau)
-        u = 1.0 / (2.0 * tau)
+        u = 1.0 / (2.0 * float(tau))
         if u * u == math.inf:
             # The kernel squares u; past the float range K would be nan or inf.
             raise DomainError(
                 f"tau is too small: (1/(2*tau))**2 overflows below about 3.73e-155, "
-                f"got {self.tau}"
+                f"got {tau}"
             )
-        x = 4.0 * tau - 1.0
+        x = 4.0 * float(tau) - 1.0
         if abs(x) < BOUNDARY_ATOL:
             regime = Regime.BOUNDARY
         else:
             regime = Regime.NON_MARKOVIAN if x > 0 else Regime.MARKOVIAN
-        object.__setattr__(self, "regime", regime)
+        # Written to the instance dict, as the generated frozen __init__ would
+        # write through object.__setattr__, at a fraction of its cost.
+        d = self.__dict__
+        d["mu"] = mu
+        d["tau"] = tau
+        d["regime"] = regime
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,13 @@ class KernelValue:
     k: float
     u: float
     v: float
+
+    def __init__(self, k: float, u: float, v: float) -> None:
+        # As in ChannelConfig.__init__.
+        d = self.__dict__
+        d["k"] = k
+        d["u"] = u
+        d["v"] = v
 
 
 #: ``(t, cfg, value)`` of the last kernel ``memory_kernel`` computed for a

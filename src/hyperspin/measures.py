@@ -11,6 +11,9 @@ Each formula is written once, as a private body that the public functions
 run on Python floats and the sweep engine on numpy columns, with the same
 bits.  The bodies write ``max(a, b)`` as ``where(b > a, b, a)`` and ``min``
 as ``where(b < a, b, a)``, which choose between signed zeros as Python does.
+The sequence that runs them is written once too: ``measure_all`` and the
+engine's ``_measure_chunk`` both call ``_measure_values``, on floats and on
+columns, after the same domain checks.
 """
 
 from __future__ import annotations
@@ -70,6 +73,17 @@ class SteeringResult:
     delta_s: float
     steering_class: SteeringClass
 
+    def __init__(
+        self, s_ab: float, s_ba: float, delta_s: float, steering_class: SteeringClass
+    ) -> None:
+        # Written to the instance dict, as the generated frozen __init__ would
+        # write through object.__setattr__, at a fraction of its cost.
+        d = self.__dict__
+        d["s_ab"] = s_ab
+        d["s_ba"] = s_ba
+        d["delta_s"] = delta_s
+        d["steering_class"] = steering_class
+
 
 @dataclass(frozen=True)
 class FanoBloch:
@@ -111,6 +125,26 @@ class MeasureRecord:
     coherence_l1: float
     eta: float
     kernel: float
+
+    def __init__(
+        self,
+        steering: SteeringResult,
+        concurrence: float,
+        eof: float,
+        gqd: float,
+        coherence_l1: float,
+        eta: float,
+        kernel: float,
+    ) -> None:
+        # As in SteeringResult.__init__.
+        d = self.__dict__
+        d["steering"] = steering
+        d["concurrence"] = concurrence
+        d["eof"] = eof
+        d["gqd"] = gqd
+        d["coherence_l1"] = coherence_l1
+        d["eta"] = eta
+        d["kernel"] = kernel
 
 
 def steering_operator(
@@ -238,8 +272,7 @@ def entanglement_of_formation(c: float) -> float:
     DomainError
         If ``c`` is outside [0, 1] by more than 1e-12.
     """
-    if _concurrence_outside(c):
-        raise DomainError(f"concurrence must be in [0, 1], got {c}")
+    _check_concurrence(c)
     return _eof(c, _FLOAT_OPS)
 
 
@@ -247,6 +280,11 @@ def _concurrence_outside(c: Any) -> Any:
     """Whether ``c`` is NaN or outside [0, 1] by more than roundoff: a bool
     for a float, a mask over rows for a numpy column."""
     return (c < -DOMAIN_ATOL) | (c > 1.0 + DOMAIN_ATOL) | (c != c)
+
+
+def _check_concurrence(c: float) -> None:
+    if _concurrence_outside(c):
+        raise DomainError(f"concurrence must be in [0, 1], got {c}")
 
 
 def _eof(c: Any, ops: _Ops) -> Any:
@@ -334,19 +372,53 @@ def _coherence_l1(w: Any, z: Any) -> Any:
     return 2.0 * (z + w)
 
 
+def _measure_values(
+    w: Any,
+    z: Any,
+    c: Any,
+    bounds: tuple[Any, Any, Any],
+    r11: Any,
+    r22: Any,
+    r33: Any,
+    r30: Any,
+    ops: _Ops,
+) -> tuple:
+    """Every measure of a checked state, in the order of the measure columns
+    of ``grid.COLUMNS``: ``(s_ab, s_ba, delta_s, code, concurrence, eof, gqd,
+    coherence_l1)``, where ``code`` indexes ``STEERING_CLASSES``.
+
+    Takes the anti-diagonal moduli ``w``, ``z``, their concurrence ``c``,
+    the ``_steering_bounds`` and the Fano-Bloch components the discord
+    reads: floats for ``measure_all``, numpy columns for the sweep engine.
+    """
+    return (
+        *_steering(w, z, *bounds, ops),
+        c,
+        _eof(c, ops),
+        _discord(r11, r22, r33, r30, ops),
+        _coherence_l1(w, z),
+    )
+
+
 def measure_all(rho: DensityMatrix4, eta: float, kernel: float) -> MeasureRecord:
     """Evaluate every measure on one state and bundle the result.
 
     ``eta`` and ``kernel`` are recorded for reporting only; the state already
-    carries the decoherence factor.
+    carries the decoherence factor.  Equal, bit for bit and error for error,
+    to the record built from :func:`steering`, :func:`concurrence`,
+    :func:`entanglement_of_formation`, :func:`geometric_discord` and
+    :func:`coherence_l1`: the concurrence is checked before the Bloch
+    components, as those calls would check them, and each modulus is taken
+    once.
     """
-    c = concurrence(rho)
-    return MeasureRecord(
-        steering=steering(rho),
-        concurrence=c,
-        eof=entanglement_of_formation(c),
-        gqd=geometric_discord(rho),
-        coherence_l1=coherence_l1(rho),
-        eta=eta,
-        kernel=kernel,
+    w = abs(rho.rho14)
+    z = abs(rho.rho23)
+    c = _concurrence(w, z)
+    _check_concurrence(c)
+    r11, r22, r33, _, r30 = _bloch_components(rho)
+    bounds = _steering_bounds(rho.rho11, rho.rho22, rho.rho33, rho.rho44)
+    s_ab, s_ba, delta_s, code, c, eof, gqd, l1 = _measure_values(
+        w, z, c, bounds, r11, r22, r33, r30, _FLOAT_OPS
     )
+    steering = SteeringResult(s_ab, s_ba, delta_s, STEERING_CLASSES[code])
+    return MeasureRecord(steering, c, eof, gqd, l1, eta, kernel)

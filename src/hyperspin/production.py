@@ -70,6 +70,15 @@ class HyperonChannel:
             raise DomainError(f"upsilon_psi must be in [-1, 1], got {self.upsilon_psi}")
         if not -math.pi <= self.delta_theta <= math.pi:
             raise DomainError(f"delta_theta must be in [-pi, pi], got {self.delta_theta}")
+        # The phi-free leading factors of the polarization numerator and of
+        # the radicand's second term, computed once per channel.  Each is the
+        # left-most factor of its left-to-right product, so the products keep
+        # their bits.  Instance attributes, not fields: equality, hash and
+        # repr see the three fields only.
+        u = self.upsilon_psi
+        d = self.__dict__
+        d["_polarization_scale"] = math.sqrt(1.0 - u**2) * math.sin(self.delta_theta)
+        d["_radicand_scale"] = (1.0 - u**2) * math.sin(self.delta_theta) ** 2
 
 
 #: Measured central values per channel; uncertainties are not modeled.
@@ -87,11 +96,11 @@ def channel_params(name: str) -> HyperonChannel:
     Raises
     ------
     UnknownChannelError
-        For names outside {lambda, sigma+, xi-, xi0}.
+        For names outside {lambda, sigma+, xi-, xi0}, unhashable ones included.
     """
     try:
         return CHANNELS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownChannelError(
             f"unknown channel {name!r}; registered: {sorted(CHANNELS)}"
         ) from None
@@ -250,8 +259,8 @@ def _check_phi(phi: float) -> float:
     return float(phi)
 
 
-def _denominator(ch: HyperonChannel, phi: float) -> float:
-    den = 1.0 + ch.upsilon_psi * math.cos(phi) ** 2
+def _denominator(ch: HyperonChannel, phi: float, cos_phi: float) -> float:
+    den = 1.0 + ch.upsilon_psi * cos_phi**2
     # 1 + u*cos^2 >= 1 - |u| > 0 for every registered channel; only an
     # upsilon_psi near -1 reaches the degenerate case.
     if not den > 0.01:
@@ -262,17 +271,13 @@ def _denominator(ch: HyperonChannel, phi: float) -> float:
 def polarization(ch: HyperonChannel, phi: float) -> float:
     """Transverse polarization of either baryon, normal to the production plane."""
     phi = _check_phi(phi)
-    return _polarization(ch, phi, _denominator(ch, phi))
+    s, c = math.sin(phi), math.cos(phi)
+    return _polarization(ch, s, c, _denominator(ch, phi, c))
 
 
-def _polarization(ch: HyperonChannel, phi: float, den: float) -> float:
-    num = (
-        math.sqrt(1.0 - ch.upsilon_psi**2)
-        * math.sin(ch.delta_theta)
-        * math.sin(phi)
-        * math.cos(phi)
-    )
-    return num / den
+def _polarization(ch: HyperonChannel, sin_phi: float, cos_phi: float, den: float) -> float:
+    # sqrt(1 - u**2) * sin(delta_theta) * sin(phi) * cos(phi) / den
+    return ch._polarization_scale * sin_phi * cos_phi / den
 
 
 def phi_matrix(ch: HyperonChannel, phi: float) -> Array:
@@ -285,12 +290,13 @@ def phi_matrix(ch: HyperonChannel, phi: float) -> Array:
 
     phi = _check_phi(phi)
     u = ch.upsilon_psi
-    den = _denominator(ch, phi)
-    sc = math.sin(phi) * math.cos(phi)
+    s, c = math.sin(phi), math.cos(phi)
+    den = _denominator(ch, phi, c)
+    sc = s * c
     p_y = math.sqrt(1.0 - u**2) * math.sin(ch.delta_theta) * sc / den
-    c_xx = math.sin(phi) ** 2 / den
-    c_yy = -u * math.sin(phi) ** 2 / den
-    c_zz = (u + math.cos(phi) ** 2) / den
+    c_xx = s**2 / den
+    c_yy = -u * s**2 / den
+    c_zz = (u + c**2) / den
     c_xz = math.sqrt(1.0 - u**2) * math.cos(ch.delta_theta) * sc / den
     out = np.zeros((4, 4))
     out[0, 0] = 1.0
@@ -305,10 +311,9 @@ def phi_matrix(ch: HyperonChannel, phi: float) -> Array:
 
 
 def _radicand(ch: HyperonChannel, phi: float) -> float:
-    u = ch.upsilon_psi
-    rad = (1.0 + u * math.cos(2.0 * phi)) ** 2 - (1.0 - u**2) * math.sin(
-        ch.delta_theta
-    ) ** 2 * math.sin(2.0 * phi) ** 2
+    # (1 + u*cos(2*phi))**2 - (1 - u**2) * sin(delta_theta)**2 * sin(2*phi)**2
+    rad = (1.0 + ch.upsilon_psi * math.cos(2.0 * phi)) ** 2
+    rad -= ch._radicand_scale * math.sin(2.0 * phi) ** 2
     if rad < -DISCRIMINANT_ATOL:
         raise NegativeDiscriminantError(
             f"radicand {rad:.3e} < 0 at phi={phi} for channel {ch.name}"
@@ -325,12 +330,13 @@ def xstate_params(ch: HyperonChannel, phi: float) -> XStateParams:
     """
     phi = _check_phi(phi)
     u = ch.upsilon_psi
-    den = _denominator(ch, phi)
+    s, c = math.sin(phi), math.cos(phi)
+    den = _denominator(ch, phi, c)
     root = math.sqrt(_radicand(ch, phi))
     g1 = (1.0 + u + root) / (2.0 * den)
     g2 = (1.0 + u - root) / (2.0 * den)
-    g3 = -u * math.sin(phi) ** 2 / den
-    return XStateParams(_polarization(ch, phi, den), g1, g2, g3)
+    g3 = -u * s**2 / den
+    return XStateParams(_polarization(ch, s, c, den), g1, g2, g3)
 
 
 def numeric_xstate_params(ch: HyperonChannel, phi: float) -> XStateParams:
@@ -358,9 +364,10 @@ def density_matrix(ch: HyperonChannel, phi: float) -> DensityMatrix4:
     """
     phi = _check_phi(phi)
     u = ch.upsilon_psi
-    den = _denominator(ch, phi)
-    p_y = _polarization(ch, phi, den)
-    g3 = -u * math.sin(phi) ** 2 / den
+    s, c = math.sin(phi), math.cos(phi)
+    den = _denominator(ch, phi, c)
+    p_y = _polarization(ch, s, c, den)
+    g3 = -u * s**2 / den
     r11 = 0.25 * (1.0 + 2.0 * p_y + g3)
     r44 = 0.25 * (1.0 - 2.0 * p_y + g3)
     r22 = (1.0 + u) / (4.0 * den)

@@ -25,9 +25,10 @@ is imported inside the functions that use it, so importing this module
 does not load it; ``hyperspin`` imports this module only when one of the
 engine's names (``run_sweep``, ``emit``, ``PRESETS``, ...) is first read.
 
-The engine runs the scalar path's own formulas and domain checks: the
-bodies and predicates that ``dephase`` and ``measure_all`` run on floats,
-here on numpy columns.  So the columns equal the scalar path bit for bit,
+The engine runs the scalar path's own formulas, measure sequence and
+domain checks: the predicates that ``dephase`` and ``measure_all`` run on
+floats, and the ``_measure_values`` that ``measure_all`` calls, here on
+numpy columns.  So the columns equal the scalar path bit for bit,
 which the test suite and ``hyperspin check`` verify row by row, and the
 engine rejects exactly the rows that ``point_row`` rejects.
 
@@ -84,6 +85,7 @@ from .measures import (
     _diagonal_bloch,
     _discord,
     _eof,
+    _measure_values,
     _Ops,
     _steering,
     _steering_bounds,
@@ -190,25 +192,20 @@ def _dephased(
     return w_abs, z_abs, conc, r11, r22, bad
 
 
-def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> list[np.ndarray]:
+def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> tuple[np.ndarray, ...]:
     """``measure_all(dephase(rho0, eta), ...)`` as columns over a chunk of
     rows that ``_dephased`` accepts, in ``_MEASURE_COLUMNS`` order: the
-    measures' own bodies, run on numpy columns with libm ``log2`` per
-    element (numpy's SIMD ``log2`` differs from it in the last ulp on some
-    inputs).  The steering class is its code, an index into
-    ``STEERING_CLASSES``.
+    measure sequence ``measure_all`` runs, ``_measure_values``, here on
+    numpy columns with libm ``log2`` per element (numpy's SIMD ``log2``
+    differs from it in the last ulp on some inputs).  The steering class is
+    its code, an index into ``STEERING_CLASSES``.
     """
     import numpy as np
 
     ops = _Ops(np.where, np.sqrt, lambda x: np.array(list(map(math.log2, x.tolist()))))
     w_abs, z_abs, conc, r11, r22, _ = _dephased(st, eta)
-    return [
-        *_steering(w_abs, z_abs, st["corner"], st["bias"], st["inner"], ops),
-        conc,
-        _eof(conc, ops),
-        _discord(r11, r22, st["r33"], st["r30"], ops),
-        _coherence_l1(w_abs, z_abs),
-    ]
+    bounds = (st["corner"], st["bias"], st["inner"])
+    return _measure_values(w_abs, z_abs, conc, bounds, r11, r22, st["r33"], st["r30"], ops)
 
 
 #: A chunk of consecutive rows: the distinct series it covers (one list per

@@ -40,6 +40,16 @@ def test_unknown_channel():
         channel_params("proton")
 
 
+@pytest.mark.parametrize("name", [None, b"lambda", 1.0, ["lambda"], {"lambda": 1}, {"lambda"}])
+def test_unknown_channel_of_any_type(name):
+    # Unhashable names are unknown names too, not a TypeError from the lookup.
+    with pytest.raises(UnknownChannelError) as err:
+        channel_params(name)
+    assert str(err.value) == (
+        f"unknown channel {name!r}; registered: ['lambda', 'sigma+', 'xi-', 'xi0']"
+    )
+
+
 def test_channel_validation():
     with pytest.raises(DomainError):
         HyperonChannel("bad", 1.5, 0.0)

@@ -2,7 +2,9 @@
 
 ``density_matrix -> evolve -> measure_all`` is what a caller evaluating one
 point at a time runs, and it is the oracle the sweep engine is checked
-against; this pins its rendered bytes on a fixed seeded block of points.
+against; this pins its rendered bytes on a fixed seeded block of points,
+and checks that ``measure_all`` gives the bits and errors of the public
+measure calls it stands for.
 """
 
 import hashlib
@@ -14,13 +16,19 @@ import pytest
 from hyperspin import (
     CHANNELS,
     ChannelConfig,
+    MeasureRecord,
     SweepRow,
     channel_params,
+    coherence_l1,
+    concurrence,
     decoherence_factor,
     density_matrix,
+    entanglement_of_formation,
     evolve,
+    geometric_discord,
     measure_all,
     memory_kernel,
+    steering,
 )
 from hyperspin.production import DensityMatrix4
 
@@ -78,3 +86,61 @@ def test_quick_tour_evaluates_the_kernel_once_per_point(kernel_bodies):
     for p in point_block(20251018, 200):
         quick_tour_line(*p)
     assert len(kernel_bodies) == 200
+
+
+def assembled_record(rho, eta, kernel):
+    """The record of the public measure calls, in the order ``measure_all``
+    has always made them."""
+    c = concurrence(rho)
+    s = steering(rho)
+    return MeasureRecord(
+        s, c, entanglement_of_formation(c), geometric_discord(rho), coherence_l1(rho), eta, kernel
+    )
+
+
+def record_bits(record):
+    s = record.steering
+    floats = (s.s_ab, s.s_ba, s.delta_s, record.concurrence, record.eof, record.gqd,
+              record.coherence_l1, record.eta, record.kernel)  # fmt: skip
+    return (*map(float.hex, floats), s.steering_class)
+
+
+def test_measure_all_is_the_public_measures_bit_for_bit():
+    for name, phi, mu, tau, t in point_block(20251018, 1000):
+        cfg = ChannelConfig(mu=mu, tau=tau)
+        rho = evolve(density_matrix(channel_params(name), phi), t, cfg)
+        eta, k = decoherence_factor(t, cfg), memory_kernel(t, cfg).k
+        assert record_bits(measure_all(rho, eta, k)) == record_bits(assembled_record(rho, eta, k))
+
+
+nan = float("nan")
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # Concurrence 1.2; r11 = 1.2 fails too, but the concurrence is checked first.
+        (0.25, 0.25, 0.25, 0.25, 0.6 + 0j, 0j),
+        (0.25, 0.25, 0.25, 0.25, 0j, -0.6 + 0j),
+        # Concurrence 0, r11 = 1.2.
+        (0.25, 0.25, 0.25, 0.25, 0.3 + 0j, 0.3 + 0j),
+        # Concurrence 0, r33 = 2.
+        (1.5, -0.25, -0.25, 0.0, 0j, 0j),
+        # Concurrence 0, r22 = -1.2.
+        (0.25, 0.25, 0.25, 0.25, 0.3 + 0j, -0.3 + 0j),
+        # NaN anti-diagonal entries.
+        (0.25, 0.25, 0.25, 0.25, complex(nan, 0.0), 0j),
+        (0.25, 0.25, 0.25, 0.25, 0.1 + 0j, complex(0.0, nan)),
+        (0.25, 0.25, 0.25, 0.25, complex(nan, nan), complex(nan, nan)),
+        # A modulus past the float range: concurrence inf.
+        (0.25, 0.25, 0.25, 0.25, complex(1e308, 1e308), 0j),
+    ],
+)
+def test_measure_all_raises_as_the_first_public_measure(entries):
+    rho = DensityMatrix4._of_entries(*entries)
+    with pytest.raises(Exception) as want:
+        assembled_record(rho, 0.5, 0.5)
+    with pytest.raises(type(want.value)) as got:
+        measure_all(rho, 0.5, 0.5)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
