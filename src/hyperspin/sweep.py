@@ -9,8 +9,11 @@ factor ``eta(mu, tau, t)``, whose kernel part depends on ``(tau, t)`` only.
 kernel value per ``(tau, t)``, and runs the domain checks over every row
 before it returns.  Neither eta nor the measures are held for the whole
 grid: checking, reading or emitting the rows evaluates them as numpy
-columns over a bounded chunk of rows, renders that chunk and writes it, so
-memory depends on the chunk size and not on the number of rows.
+columns over a bounded chunk of rows, so memory depends on the chunk size
+and not on the number of rows.  A chunk is the numpy batch; a slice of
+``_SLICE_ROWS`` of its rows is the unit of text: its values are converted
+to Python objects, its lines joined and its text written one slice at a
+time, so no process holds a whole chunk's text.
 Rendering formats each string that repeats once where it can: the
 ``channel, phi, mu, tau, regime`` prefix once per series in a chunk, and
 ``time, kernel, eta`` once per run of chunks that cover the same ``(mu,
@@ -35,13 +38,16 @@ engine rejects exactly the rows that ``point_row`` rejects.
 The ``hyperspin sweep`` command renders in two processes.  Once
 ``run_sweep`` has built and checked the columns, and the sink is open, it
 forks one child on Linux if the rows take more than one chunk.  The child
-evaluates and renders the odd chunks and sends each one's text through a
-pipe as one length-prefixed frame.  The parent does the even chunks and
-writes every chunk in order, so the bytes and the byte count are those of
-``emit``.  A pipe holds 64 KiB, less than a chunk's text, so neither
-process gets more than about a chunk ahead of the writes.  A failure on
-either side kills and reaps the child and ends as one error.  Library
-``emit`` renders in the caller's process and never forks.
+evaluates and renders the odd chunks.  It sends each slice's text through a
+pipe as one length-prefixed frame, and an empty frame at each chunk's end,
+which it flushes at once.  The parent does the even chunks and writes every
+slice in order, so the bytes and the byte count are those of ``emit``.
+The pipe is asked to hold 1 MiB, about a chunk's text, so the child can
+run a chunk ahead of the writes with that text in the pipe and not in
+either process.  Where that size is refused, the default 64 KiB pipe works
+with the same bytes; it stalls the child sooner.  A failure on either side
+kills and reaps the child and ends as one error.  Library ``emit`` renders
+in the caller's process and never forks.
 """
 
 from __future__ import annotations
@@ -112,22 +118,37 @@ def _json_fields(columns: Sequence[tuple[str, type]]) -> str:
 
 MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 
-#: Rows evaluated, rendered and written per chunk; sets a sweep's peak memory.
-#: The ``wait4`` peak RSS in MB of ``hyperspin sweep``, which renders in two
-#: processes, then its median wall seconds over 5 runs (the sizes alternating,
-#: a shared 2-core x86-64 VM, Python 3.11, numpy 2.4; runs of the same code
-#: differ by 10-30%):
+#: Rows evaluated per chunk, the numpy batch: a chunk's measure columns are
+#: held while its slices are rendered, and its series and point strings are
+#: made once for all of them.  The ``wait4`` peak RSS in MB of ``hyperspin
+#: sweep``, which renders in two processes, then its median wall seconds
+#: over 5 runs, with 256-row slices (the sizes alternating, a shared 2-core
+#: x86-64 VM, Python 3.11, numpy 2.4; runs of the same code differ by
+#: 10-30%):
 #:
 #:     rows    h1a CSV      h1a JSON     h2b CSV      h2b JSON
-#:     1,024   31.3  0.53   36.0  0.97   31.8  1.90   36.5  4.95
-#:     2,048   32.5  0.47   38.2  0.93   33.6  1.80   39.5  5.15
-#:     4,096   34.8  0.57   42.7  0.98   36.9  1.80   44.4  4.87
+#:     512     30.5  0.54   34.4  0.83   30.6  1.72   34.5  4.68
+#:     1,024   30.7  0.47   34.6  0.80   30.9  1.61   35.0  4.58
+#:     2,048   31.0  0.38   34.9  0.80   31.7  1.52   35.8  4.37
+#:     4,096   31.8  0.42   35.6  0.93   33.2  1.65   37.5  5.18
 #:
-#: 1,024 peaks lower but is slower on three of the four, so 2,048 stays.  A
+#: 2,048 is the fastest on all four and peaks within 1.3 MB of 512.  A
 #: chunk renders its ``time, kernel, eta`` strings only when they are not
 #: those of the chunk its process rendered before, so small chunks cost a
 #: phi sweep little.
 _CHUNK_ROWS = 1 << 11
+
+#: Rows per slice, the unit of text: a slice's values are converted to
+#: Python objects, its lines joined, and its text written, or sent from the
+#: child of ``hyperspin sweep`` as one frame, before the next slice is made.
+#: Measured as for ``_CHUNK_ROWS``, with 2,048-row chunks:
+#:
+#:     rows    h1a CSV      h1a JSON     h2b CSV      h2b JSON
+#:     128     30.9  0.47   34.6  0.78   31.7  1.61   35.6  4.65
+#:     256     31.0  0.42   34.9  0.79   31.7  1.55   35.8  4.48
+#:     512     31.2  0.41   35.5  0.82   32.0  1.56   36.3  4.30
+#:     1,024   31.9  0.41   36.6  0.81   32.6  1.60   37.5  4.75
+_SLICE_ROWS = 1 << 8
 
 
 def _row_of(values: Sequence[Any]) -> SweepRow:
@@ -210,11 +231,11 @@ def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> tuple[np.ndarr
 
 #: A chunk of consecutive rows: the distinct series it covers (one list per
 #: series column), each row's index into them, the distinct points likewise,
-#: and one list per measure column.  A chunk that covers the same points as
-#: the chunk before carries the very same point lists, so a renderer may
-#: reuse what it made of them.
+#: and one numpy array per measure column.  A chunk that covers the same
+#: points as the chunk before carries the very same point lists, so a
+#: renderer may reuse what it made of them.
 if TYPE_CHECKING:
-    _Chunk = tuple[list[Sequence], np.ndarray, list[Sequence], np.ndarray, list[Sequence]]
+    _Chunk = tuple[list[Sequence], np.ndarray, list[Sequence], np.ndarray, list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -292,7 +313,7 @@ class _Columns:
                     eta[first].tolist(),
                 ]
             measure_columns = [
-                class_names[column].tolist() if name == "steering_class" else column.tolist()
+                class_names[column] if name == "steering_class" else column
                 for (name, _), column in zip(_MEASURE_COLUMNS, measures)
             ]
             yield series_columns, series_of_row, point_columns, point_of_row, measure_columns
@@ -323,14 +344,16 @@ def _row_chunks(rows: Sequence[SweepRow]) -> Iterator[_Chunk]:
     for start in range(0, len(rows), _CHUNK_ROWS):
         columns = list(zip(*(row.values() for row in rows[start : start + _CHUNK_ROWS])))
         each = np.arange(len(columns[0]))
-        yield columns[:5], each, columns[5:8], each, columns[8:]
+        measures = [np.fromiter(c, dtype=object, count=len(c)) for c in columns[8:]]
+        yield columns[:5], each, columns[5:8], each, measures
 
 
 def _chunk_values(chunks: Iterable[_Chunk]) -> Iterator[tuple]:
     """Every row's values in ``COLUMNS`` order."""
     for series, series_of_row, points, point_of_row, measures in chunks:
         series_rows, point_rows = list(zip(*series)), list(zip(*points))
-        for s, p, m in zip(series_of_row.tolist(), point_of_row.tolist(), zip(*measures)):
+        measure_rows = zip(*(column.tolist() for column in measures))
+        for s, p, m in zip(series_of_row.tolist(), point_of_row.tolist(), measure_rows):
             yield series_rows[s] + point_rows[p] + m
 
 
@@ -373,18 +396,27 @@ class _Format:
         return np.array(list(filled), dtype=object)
 
     def render(self, chunks: Iterable[_Chunk]) -> Iterator[str]:
-        """Each chunk's rows as text.  Each series is rendered once per
-        chunk, and each block of points once per run of chunks that carry
-        the same point lists."""
+        """Each chunk's rows as text, ``_SLICE_ROWS`` rows at a time, and
+        then an empty text that ends the chunk.  Each series is rendered
+        once per chunk, and each block of points once per run of chunks that
+        carry the same point lists."""
         points = rendered = None
         for series, series_of_row, chunk_points, point_of_row, measures in chunks:
-            prefixes = self._fill(self.series, _SERIES_COLUMNS, series)[series_of_row].tolist()
+            prefixes = self._fill(self.series, _SERIES_COLUMNS, series)[series_of_row]
             if chunk_points is not points:
                 points = chunk_points
                 rendered = self._fill(self.point, _POINT_COLUMNS, points)
-            middles = rendered[point_of_row].tolist()
-            lines = zip(prefixes, middles, *self._converted(_MEASURE_COLUMNS, measures))
-            yield "".join(map(self.line.__mod__, lines))
+            middles = rendered[point_of_row]
+            for first in range(0, len(series_of_row), _SLICE_ROWS):
+                part = slice(first, first + _SLICE_ROWS)
+                values = [column[part].tolist() for column in measures]
+                lines = zip(
+                    prefixes[part].tolist(),
+                    middles[part].tolist(),
+                    *self._converted(_MEASURE_COLUMNS, values),
+                )
+                yield "".join(map(self.line.__mod__, lines))
+            yield ""
 
 
 _CSV = _Format(
@@ -548,8 +580,8 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
     significant digits.  JSON: the bytes of ``json.dumps(..., indent=1)`` of
     an object with ``metadata`` and a ``records`` array of flat objects
     carrying the same field names as the CSV columns, floats rounded to 12
-    significant digits.  Either way the rows are evaluated, rendered and
-    written a chunk at a time, in this process.
+    significant digits.  Either way the rows are evaluated a chunk at a
+    time, and rendered and written a slice at a time, in this process.
     """
     return _emit(result, fmt, sink, split=False)
 
@@ -577,9 +609,9 @@ def _document(
 ) -> tuple[str, Iterator[str], str]:
     """The text before the records, the records, and the text after them.
 
-    The head and the first records are rendered here, before a sink file is
-    opened, so a result whose metadata or first rows cannot be rendered
-    leaves the file as it was.
+    The head and the first slice of records are rendered here, before a sink
+    file is opened, so a result whose metadata or first rows cannot be
+    rendered leaves the file as it was.
     """
     first = list(islice(records, 1))
     if fmt == "csv":
@@ -613,18 +645,24 @@ def _write_document(
     written.
 
     Given ``columns``, ``records`` are the even chunks of their rows.  A
-    forked child renders the odd chunks and sends each one's text through a
-    pipe, and each is written after the chunk before it.  If this process
-    fails, it kills the child; it always waits for it.
+    forked child renders the odd chunks and sends their slices through a
+    pipe, and each chunk is written after the chunk before it.  If this
+    process fails, it kills the child; it always waits for it.
     """
     if columns is None:
         return _write(chain([head], records, [tail]), fh)
+    import fcntl
     import signal
 
     # Nothing buffered for the output streams is copied into the child.
     sys.stdout.flush()
     sys.stderr.flush()
     read_fd, write_fd = os.pipe()
+    try:
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except OSError:
+        # Refused past the system's limit; the default pipe works, slower.
+        pass
     with open(read_fd, "rb") as pipe, open(write_fd, "wb") as out:
         pid = os.fork()
         if pid == 0:
@@ -633,7 +671,8 @@ def _write_document(
         out.close()
         try:
             n_chunks = (len(columns) - 1) // _CHUNK_ROWS + 1
-            theirs = (_frame(pipe) for _ in range(n_chunks // 2))
+            # Each of the child's chunks: its frames up to the empty one.
+            theirs = (iter(functools.partial(_frame, pipe), "") for _ in range(n_chunks // 2))
             nbytes = _write(chain([head], _interleaved(records, theirs), [tail]), fh)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -650,19 +689,29 @@ def _write_document(
 #: little-endian; a negative size is that of an error message instead.
 _FRAME_HEADER = 8
 
+#: The pipe asked for: it holds a chunk's text (about 320 kB as CSV, 800 kB
+#: as JSON), so the child can run a chunk ahead with that text in the pipe
+#: and not in either process.  Linux lets any user ask for 1 MiB by default.
+_PIPE_BYTES = 1 << 20
+
 
 def _render_odd_chunks(form: _Format, columns: _Columns, out: IO[bytes]) -> NoReturn:
-    """The forked child: send the text of each odd chunk of ``columns`` as a
-    frame, or the message of the error that stopped it."""
+    """The forked child: send each slice of text of the odd chunks of
+    ``columns`` as a frame, and an empty frame at each chunk's end, or the
+    message of the error that stopped it."""
     status = 1
     try:
         try:
             for text in form.render(columns.chunks(1, 2)):
                 data = text.encode("utf-8")
-                # Keep no text while the next chunk is made.
+                # Keep no text while the next slice is made.
                 del text
                 out.write(len(data).to_bytes(_FRAME_HEADER, "little", signed=True))
                 out.write(data)
+                if not data:
+                    # The parent waits for the end of a chunk before it
+                    # writes its next one: do not keep it in the buffer.
+                    out.flush()
                 del data
             status = 0
         except Exception as exc:
@@ -687,23 +736,29 @@ def _frame(pipe: IO[bytes]) -> str:
     return data.decode("utf-8")
 
 
-def _interleaved(own: Iterator[str], theirs: Iterator[str]) -> Iterator[str]:
-    """A text of ``own``, then one of ``theirs`` while it lasts, and so on."""
+def _interleaved(own: Iterator[str], theirs: Iterator[Iterator[str]]) -> Iterator[str]:
+    """The slices of a chunk of ``own``, then those of a chunk of ``theirs``
+    while they last, and so on.  In ``own`` an empty text ends a chunk."""
     for text in own:
-        yield text
-        # Keep no text while the next one is read or made.
-        del text
-        yield from islice(theirs, 1)
+        if text:
+            yield text
+            # Keep no text while the next one is read or made.
+            del text
+        else:
+            yield from next(theirs, ())
 
 
-def _write(chunks: Iterable[str], fh: IO[str]) -> int:
+def _write(texts: Iterable[str], fh: IO[str]) -> int:
     nbytes = 0
-    for chunk in chunks:
-        fh.write(chunk)
+    for text in texts:
+        # An empty text only ends a chunk.
+        if not text:
+            continue
+        fh.write(text)
         # UTF-8 spends one byte per ASCII character; encode only the rest.
-        nbytes += len(chunk) if chunk.isascii() else len(chunk.encode("utf-8"))
-        # Free this chunk's text before the next one is made.
-        del chunk
+        nbytes += len(text) if text.isascii() else len(text.encode("utf-8"))
+        # Free this slice's text before the next one is made.
+        del text
     return nbytes
 
 

@@ -1,11 +1,15 @@
-"""``hyperspin sweep`` renders the odd chunks of a sweep in a forked child.
+"""``hyperspin sweep`` renders the odd chunks of a sweep in a forked child,
+which sends each slice of their text as a frame and ends each chunk with an
+empty one.
 
 Its output and byte count must be those of library ``emit``, which renders
-in-process, and a failure on either side must end as one error line with the
-child reaped.  ``os.fork`` warns on Python 3.12+ in a multi-threaded process;
+in-process, however the chunks are sliced and whether or not the pipe may be
+enlarged, and a failure on either side, mid-chunk too, must end as one error
+line with the child reaped.  ``os.fork`` warns on Python 3.12+ in a multi-threaded process;
 these tests make that warning an error.
 """
 
+import errno
 import hashlib
 import io
 import os
@@ -125,6 +129,146 @@ def test_a_failing_child_is_one_error_line(forks, monkeypatch, capsys, tmp_path,
     monkeypatch.setattr(sweep_module._Columns, "chunks", _fail_in_child(how))
     assert cli.main(_sweep_argv(3, fmt) + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == message
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+#: Rows per slice of text in the tests below: 4 slices per chunk, and 3 and
+#: a short one.
+SLICES = [16, 20]
+
+
+def _rows_in(text):
+    """The rows in a slice of CSV or JSON text."""
+    return text.count('"time": ') if '"time": ' in text else text.count("\n")
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """The rows in each frame that this process reads from the child; an
+    empty frame, which ends a chunk, counts as 0."""
+    rows = []
+    real_frame = sweep_module._frame
+
+    def recording_frame(pipe):
+        text = real_frame(pipe)
+        rows.append(_rows_in(text))
+        return text
+
+    monkeypatch.setattr(sweep_module, "_frame", recording_frame)
+    return rows
+
+
+def _child_frames(rows, slice_rows):
+    """The rows of each frame the child sends for a sweep of ``rows`` rows."""
+    frames = []
+    for first in range(CHUNK, rows, 2 * CHUNK):
+        n = min(CHUNK, rows - first)
+        frames += [min(slice_rows, n - cut) for cut in range(0, n, slice_rows)] + [0]
+    return frames
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("chunks", [2, 3, 4, 7])
+@pytest.mark.parametrize("slice_rows", SLICES)
+def test_cli_sweep_sends_each_chunk_in_slices(
+    forks, frames, monkeypatch, capsys, tmp_path, slice_rows, chunks, fmt
+):
+    monkeypatch.setattr(sweep_module, "_SLICE_ROWS", slice_rows)
+    argv = _sweep_argv(chunks, fmt)
+    want, want_bytes, rows = _library_text(argv)
+    out = tmp_path / f"out.{fmt}"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode("utf-8")
+    assert _reported_bytes(capsys.readouterr().err) == want_bytes == len(want.encode("utf-8"))
+    assert frames == _child_frames(rows, slice_rows)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+class _Recording:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_write_of_the_split_is_one_slice(forks, monkeypatch, fmt):
+    monkeypatch.setattr(sweep_module, "_SLICE_ROWS", 16)
+    argv = _sweep_argv(7, fmt)
+    want, want_bytes, _ = _library_text(argv)
+    grid = cli._sweep_grid_from_args(cli.build_parser().parse_args(argv))
+    sink = _Recording()
+    assert sweep_module._emit(run_sweep(grid), fmt, sink, split=True) == want_bytes
+    assert "".join(sink.writes) == want
+    head, *records = sink.writes
+    if fmt == "json":
+        records = records[:-1]
+    assert all(0 < _rows_in(text) <= 16 for text in records)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def _fail_mid_chunk(how, parent):
+    """``_Format.render`` that, in the child, sends the first slice of its
+    first chunk and then fails."""
+    real_render = sweep_module._Format.render
+
+    def render(self, chunks):
+        texts = real_render(self, chunks)
+        if os.getpid() == parent:
+            yield from texts
+            return
+        yield next(texts)
+        if how == "dies":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("injected")
+
+    return render
+
+
+@pytest.mark.parametrize(
+    ("how", "message"),
+    [
+        ("raises", "hyperspin: error: the render process failed: RuntimeError: injected\n"),
+        ("dies", "hyperspin: error: the render process ended before sending all rows\n"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_child_failing_mid_chunk_is_one_error_line(
+    forks, frames, monkeypatch, capsys, tmp_path, fmt, how, message
+):
+    monkeypatch.setattr(sweep_module, "_SLICE_ROWS", 16)
+    monkeypatch.setattr(sweep_module._Format, "render", _fail_mid_chunk(how, os.getpid()))
+    assert cli.main(_sweep_argv(3, fmt) + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == message
+    if how == "raises":
+        # The slice that was sent, then the error frame, which ``_frame`` raises.
+        assert frames == [16]
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_refused_pipe_size_keeps_the_bytes(forks, monkeypatch, capsys, tmp_path, fmt):
+    import fcntl
+
+    asked = []
+
+    def refusing_fcntl(fd, cmd, arg=0):
+        asked.append((cmd, arg))
+        raise OSError(errno.EPERM, "refused")
+
+    monkeypatch.setattr(fcntl, "fcntl", refusing_fcntl)
+    argv = _sweep_argv(7, fmt)
+    want, want_bytes, _ = _library_text(argv)
+    out = tmp_path / f"out.{fmt}"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode("utf-8")
+    assert _reported_bytes(capsys.readouterr().err) == want_bytes
+    assert asked == [(fcntl.F_SETPIPE_SZ, sweep_module._PIPE_BYTES)]
     assert len(forks) == 1
     _assert_no_child_left()
 

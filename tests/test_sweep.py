@@ -342,23 +342,80 @@ def test_sweep_memory_does_not_grow_with_rows(monkeypatch, fmt):
         assert peaks[1] < 1.2 * peaks[0], (grid_of.__name__, peaks)
 
 
+def _slice_grid():
+    # 54 rows: 18 series of 3 times, each (mu, tau, t) point in 3 series.
+    return small_grid(phi=(0.0, 0.7, HALF_PI), mu=(0.0, 0.5, 0.8), tau=(0.1, 5.0))
+
+
 def test_repeated_emits_give_the_same_bytes(monkeypatch):
-    grid = small_grid(phi=(0.0, 0.7, HALF_PI), mu=(0.0, 0.5, 0.8), tau=(0.1, 5.0))
+    grid = _slice_grid()
     result = run_sweep(grid)
     outputs = []
     for fmt in ("csv", "json", "csv", "json"):
         sink = io.StringIO()
-        emit(result, fmt, sink)
-        outputs.append(sink.getvalue())
+        outputs.append((emit(result, fmt, sink), sink.getvalue()))
     assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
-    assert outputs[0].splitlines()[1:] == [row.csv_line() for row in result.rows]
-    # Chunk boundaries inside series and points leave the bytes as they are.
+    assert outputs[0][1].splitlines()[1:] == [row.csv_line() for row in result.rows]
+    # Chunk boundaries inside series and points leave the bytes as they are,
+    # and so do slices of 3, 3 and 1 rows, which cross those boundaries and
+    # end each chunk in a short slice.
     monkeypatch.setattr(sweep_module, "_CHUNK_ROWS", 7)
-    for fmt, want in (("csv", outputs[0]), ("json", outputs[1])):
-        for source in (run_sweep(grid), SweepResult(result.rows, result.metadata)):
-            sink = io.StringIO()
-            emit(source, fmt, sink)
-            assert sink.getvalue() == want
+    for slice_rows in (sweep_module._SLICE_ROWS, 3):
+        monkeypatch.setattr(sweep_module, "_SLICE_ROWS", slice_rows)
+        for fmt, want in (("csv", outputs[0]), ("json", outputs[1])):
+            for source in (run_sweep(grid), SweepResult(result.rows, result.metadata)):
+                sink = io.StringIO()
+                assert (emit(source, fmt, sink), sink.getvalue()) == want
+
+
+class _Recording:
+    """A sink that keeps the text of each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _slice_sizes(rows, chunk_rows, slice_rows):
+    """The rows of each slice of each chunk, in order."""
+    sizes = []
+    for first in range(0, rows, chunk_rows):
+        n = min(chunk_rows, rows - first)
+        sizes += [min(slice_rows, n - cut) for cut in range(0, n, slice_rows)]
+    return sizes
+
+
+def _rows_in(text, fmt):
+    return text.count("\n") if fmt == "csv" else text.count('"steering_class"')
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    ("chunk_rows", "slice_rows"), [(7, 3), (None, None)], ids=["small", "default"]
+)
+def test_each_write_is_one_slice(monkeypatch, fmt, chunk_rows, slice_rows):
+    if chunk_rows is None:
+        # A phi sweep of 5,050 rows: three default chunks, the last one short.
+        grid = _phi_grid(50)
+        assert 2 * sweep_module._CHUNK_ROWS < len(grid) < 3 * sweep_module._CHUNK_ROWS
+    else:
+        grid = _slice_grid()
+        monkeypatch.setattr(sweep_module, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(sweep_module, "_SLICE_ROWS", slice_rows)
+    chunk, part = sweep_module._CHUNK_ROWS, sweep_module._SLICE_ROWS
+    result = run_sweep(grid)
+    for source in (result, SweepResult(result.rows, result.metadata)):
+        sink, whole = _Recording(), io.StringIO()
+        assert emit(source, fmt, sink) == emit(source, fmt, whole)
+        assert "".join(sink.writes) == whole.getvalue()
+        head, *records = sink.writes
+        if fmt == "json":
+            records, tail = records[:-1], records[-1]
+            assert _rows_in(head + tail, fmt) == 0
+        # Every chunk is written as its slices, each in one write.
+        assert [_rows_in(text, fmt) for text in records] == _slice_sizes(len(grid), chunk, part)
 
 
 def test_reused_point_strings_give_the_row_bytes():
@@ -409,6 +466,20 @@ def test_h1a_csv_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_h1a_holds_a_slice_of_text_at_a_time(fmt):
+    # The text of a 2,048-row chunk alone is about 0.3 MB as CSV and 0.8 MB
+    # as JSON, and more as Python lists and line strings on the way.
+    emit(run_sweep(small_grid()), fmt, _Discard())
+    tracemalloc.start()
+    try:
+        emit(run_preset("h1a"), fmt, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
 
 
 @pytest.mark.parametrize(
