@@ -182,7 +182,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         result = run_sweep(_sweep_grid_from_args(args))
     sink = args.out if args.out else sys.stdout
-    # Renders in two processes where it can; the bytes are those of ``emit``.
+    # Rendered by two forked workers where it can; the bytes are those of ``emit``.
     nbytes = _emit(result, args.format, sink, split=True)
     target = args.out if args.out else "<stdout>"
     print(

@@ -5,8 +5,8 @@ that both output formats derive from, the row-count cap, and ``point_row``,
 the scalar row path that ``hyperspin measure`` prints and that a sweep
 raises its errors through.  Importing this module loads neither numpy nor
 the sweep engine in ``hyperspin.sweep`` (its renderers, presets and the
-two-process render), so ``import hyperspin``, ``measure``, ``params`` and
-``--version`` pay for neither.
+render in forked workers), so ``import hyperspin``, ``measure``, ``params``
+and ``--version`` pay for neither.
 
 The engine looks ``MAX_ROWS``, ``memory_kernel`` and ``density_matrix`` up
 in this module, as ``point_row`` does, so one assignment here (a changed
@@ -60,9 +60,11 @@ _ROW_FORMAT = _csv_fields(COLUMNS)
 
 #: Most points one axis may have and most rows one sweep may have, checked
 #: before anything is allocated: about 20x the largest preset (h2b, 505,101
-#: rows).  A sweep keeps 8 bytes of kernel per ``(tau, time)`` pair, at
-#: most 80 MB at the cap, and evaluates eta and the measures a chunk of rows
-#: at a time.  Change it by assigning ``hyperspin.grid.MAX_ROWS``.
+#: rows).  A sweep keeps 8 bytes per time and 8 bytes of kernel per ``(tau,
+#: time)`` pair, each built straight into its array: at most 160 MB at the
+#: cap, 80 MB of times and 80 MB of kernel for one tau and 10,000,000 times.
+#: It evaluates eta and the measures a chunk of rows at a time.  Change it
+#: by assigning ``hyperspin.grid.MAX_ROWS``.
 MAX_ROWS = 10_000_000
 
 

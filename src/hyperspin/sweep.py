@@ -35,19 +35,27 @@ numpy columns.  So the columns equal the scalar path bit for bit,
 which the test suite and ``hyperspin check`` verify row by row, and the
 engine rejects exactly the rows that ``point_row`` rejects.
 
-The ``hyperspin sweep`` command renders in two processes.  Once
-``run_sweep`` has built and checked the columns, and the sink is open, it
-forks one child on Linux if the rows take more than one chunk.  The child
-evaluates and renders the odd chunks.  It sends each slice's text through a
-pipe as one length-prefixed frame, and an empty frame at each chunk's end,
-which it flushes at once.  The parent does the even chunks and writes every
-slice in order, so the bytes and the byte count are those of ``emit``.
-The pipe is asked to hold 1 MiB, about a chunk's text, so the child can
-run a chunk ahead of the writes with that text in the pipe and not in
-either process.  Where that size is refused, the default 64 KiB pipe works
-with the same bytes; it stalls the child sooner.  A failure on either side
-kills and reaps the child and ends as one error.  Library ``emit`` renders
-in the caller's process and never forks.
+The ``hyperspin sweep`` command renders in two forked workers and merges
+their text in a parent that renders nothing.  Once ``run_sweep`` has built
+and checked the columns, it forks two identical workers on Linux if the
+rows take more than one chunk.  Worker ``k`` evaluates and renders chunks
+``k``, ``k + 2``, ...; it sends each slice's text through a pipe of its own
+as one length-prefixed frame, and an empty frame at each chunk's end,
+which it flushes at once.  The parent reads worker 0's first frame before
+it opens the sink, so a failure in the first rows leaves a file as it was.
+It then copies the frames, chunk by chunk from the two pipes in turn, as
+bytes into the sink's binary layer, so the bytes and the byte count are
+those of ``emit``.  The parent holds the columns, the metadata and one
+frame at a time; each worker holds its chunk's columns and one slice of
+text besides the pages it shares with the parent.  As the parent renders
+nothing, the peak of the command is its footprint at the fork.  Each pipe
+is asked to hold 1 MiB, about a chunk's text, so a worker can run a chunk
+ahead of the writes with that text in the pipe and not in any process.
+Where that size is refused, the default 64 KiB pipe works with the same
+bytes; it stalls the workers sooner.  A failure in any of the three
+processes kills and reaps both workers and ends as one error.  Library
+``emit`` renders in the caller's process and never forks, and neither does
+a sweep of one chunk.
 """
 
 from __future__ import annotations
@@ -60,7 +68,17 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import (
+    IO,
+    TYPE_CHECKING,
+    Any,
+    AnyStr,
+    Callable,
+    Iterable,
+    Iterator,
+    NoReturn,
+    Sequence,
+)
 
 from . import grid as grid_module
 from ._version import __version__
@@ -121,10 +139,10 @@ MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 #: Rows evaluated per chunk, the numpy batch: a chunk's measure columns are
 #: held while its slices are rendered, and its series and point strings are
 #: made once for all of them.  The ``wait4`` peak RSS in MB of ``hyperspin
-#: sweep``, which renders in two processes, then its median wall seconds
-#: over 5 runs, with 256-row slices (the sizes alternating, a shared 2-core
-#: x86-64 VM, Python 3.11, numpy 2.4; runs of the same code differ by
-#: 10-30%):
+#: sweep``, when its parent rendered the even chunks and one child the odd
+#: ones, then its median wall seconds over 5 runs, with 256-row slices (the
+#: sizes alternating, a shared 2-core x86-64 VM, Python 3.11, numpy 2.4;
+#: runs of the same code differ by 10-30%):
 #:
 #:     rows    h1a CSV      h1a JSON     h2b CSV      h2b JSON
 #:     512     30.5  0.54   34.4  0.83   30.6  1.72   34.5  4.68
@@ -139,9 +157,10 @@ MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 _CHUNK_ROWS = 1 << 11
 
 #: Rows per slice, the unit of text: a slice's values are converted to
-#: Python objects, its lines joined, and its text written, or sent from the
-#: child of ``hyperspin sweep`` as one frame, before the next slice is made.
-#: Measured as for ``_CHUNK_ROWS``, with 2,048-row chunks:
+#: Python objects, its lines joined, and its text written, or sent from a
+#: worker of ``hyperspin sweep`` as one frame, before the next slice is made.
+#: Measured as for ``_CHUNK_ROWS``, with 2,048-row chunks, when the parent
+#: rendered the even chunks and one child the odd ones:
 #:
 #:     rows    h1a CSV      h1a JSON     h2b CSV      h2b JSON
 #:     128     30.9  0.47   34.6  0.78   31.7  1.61   35.6  4.65
@@ -450,14 +469,20 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     # ``grid``, where ``point_row`` looks it up.
     states = (grid_module.density_matrix(ch, p) for p in grid.phi)
     constants = _state_constants(states)
-    times = grid.time.values()
-    kernel = []
-    regimes = []
-    for tau in grid.tau:
-        cfg = ChannelConfig(mu=grid.mu[0], tau=tau)
-        regimes.append(cfg.regime.value)
-        kernel += [_kernel_at(grid, cfg, t) for t in times]
-    columns = _Columns(grid, regimes, *map(np.array, (times, grid.mu, kernel)), constants)
+    start, step, n_times = grid.time.start, grid.time.step, len(grid.time)
+    # ``start + k * step``, as ``TimeGrid.values`` gives it, built in place:
+    # only the arrays kept are allocated, and no list of floats.
+    times = np.arange(n_times, dtype=np.float64)
+    times *= step
+    times += start
+    configs = [ChannelConfig(mu=grid.mu[0], tau=tau) for tau in grid.tau]
+    kernel = np.fromiter(
+        (_kernel_at(grid, cfg, start + k * step) for cfg in configs for k in range(n_times)),
+        np.float64,
+        len(configs) * n_times,
+    )
+    regimes = [cfg.regime.value for cfg in configs]
+    columns = _Columns(grid, regimes, times, np.array(grid.mu), kernel, constants)
     columns.check()
     return columns
 
@@ -542,7 +567,7 @@ def run_sweep(
     carries all measure fields (they share almost all of their arithmetic).
     ``workers`` must be an integer >= 1 and changes nothing: the result is
     evaluated in the caller's process, and only the ``sweep`` command
-    renders in two (see the module docstring).  It stays only because
+    renders in forked workers (see the module docstring).  It stays only because
     ``perfbench/run.py`` passes it, and goes with the next change to the
     benchmark.
     """
@@ -588,30 +613,35 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
 
 def _emit(result: SweepResult, fmt: str, sink: str | Path | IO[str], split: bool) -> int:
     """``emit``; with ``split``, on Linux, a computed result of two or more
-    chunks has its odd chunks rendered by a forked child process.  The bytes
-    written and the count returned are the same either way."""
+    chunks is rendered by two forked workers, and this process only merges
+    their text.  The bytes written and the count returned are the same
+    either way."""
     form = _FORMATS.get(fmt)
     if form is None:
         raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}")
     columns = result._columns
-    if not split or sys.platform != "linux" or columns is None or len(columns) <= _CHUNK_ROWS:
-        columns = None
-    own = form.render(columns.chunks(0, 2) if columns is not None else result._chunks())
-    head, records, tail = _document(result, fmt, own)
+    if split and sys.platform == "linux" and columns is not None and len(columns) > _CHUNK_ROWS:
+        return _emit_from_workers(result, fmt, sink, form, columns)
+    head, records, tail = _document(result, fmt, form.render(result._chunks()))
+    return _to_sink(sink, lambda fh: _write(chain([head], records, [tail]), fh))
+
+
+def _to_sink(sink: str | Path | IO[str], write: Callable[[IO[str]], int]) -> int:
+    """``write`` to ``sink``, a text stream or a path to open for it."""
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
-            return _write_document(fh, head, records, tail, form, columns)
-    return _write_document(sink, head, records, tail, form, columns)
+            return write(fh)
+    return write(sink)
 
 
 def _document(
-    result: SweepResult, fmt: str, records: Iterator[str]
-) -> tuple[str, Iterator[str], str]:
+    result: SweepResult, fmt: str, records: Iterator[AnyStr]
+) -> tuple[str, Iterator[AnyStr], str]:
     """The text before the records, the records, and the text after them.
 
-    The head and the first slice of records are rendered here, before a sink
-    file is opened, so a result whose metadata or first rows cannot be
-    rendered leaves the file as it was.
+    The head and the first slice of records are rendered, or read from the
+    first worker, here, before a sink file is opened, so a result whose
+    metadata or first rows cannot be rendered leaves the file as it was.
     """
     first = list(islice(records, 1))
     if fmt == "csv":
@@ -626,62 +656,63 @@ def _document(
     return head + "[", _records_from(first, records), "\n ]" + tail
 
 
-def _records_from(first: list[str], rest: Iterator[str]) -> Iterator[str]:
+def _records_from(first: list[AnyStr], rest: Iterator[AnyStr]) -> Iterator[AnyStr]:
     """The text in ``first``, if any, then ``rest``; no text is kept once handed on."""
     if first:
         yield first.pop()
     yield from rest
 
 
-def _write_document(
-    fh: IO[str],
-    head: str,
-    records: Iterator[str],
-    tail: str,
-    form: _Format,
-    columns: _Columns | None,
+def _emit_from_workers(
+    result: SweepResult, fmt: str, sink: str | Path | IO[str], form: _Format, columns: _Columns
 ) -> int:
-    """Write ``head``, the records and ``tail`` to ``fh``; returns the bytes
-    written.
+    """``_emit`` of ``columns`` rendered by two forked workers.
 
-    Given ``columns``, ``records`` are the even chunks of their rows.  A
-    forked child renders the odd chunks and sends their slices through a
-    pipe, and each chunk is written after the chunk before it.  If this
-    process fails, it kills the child; it always waits for it.
+    Worker ``k`` renders chunks ``k``, ``k + 2``, ... and sends their slices
+    through a pipe of its own.  This process renders nothing: it reads the
+    frames chunk by chunk, from the two pipes in turn, and writes them to
+    the sink.  Any failure kills both workers; both are always reaped.
     """
-    if columns is None:
-        return _write(chain([head], records, [tail]), fh)
     import fcntl
     import signal
 
-    # Nothing buffered for the output streams is copied into the child.
+    # Nothing buffered for the output streams is copied into a worker.
     sys.stdout.flush()
     sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
+    pids: list[int] = []
+    pipes: list[IO[bytes]] = []
     try:
-        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except OSError:
-        # Refused past the system's limit; the default pipe works, slower.
-        pass
-    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as out:
-        pid = os.fork()
-        if pid == 0:
-            pipe.close()
-            _render_odd_chunks(form, columns, out)
-        out.close()
-        try:
-            n_chunks = (len(columns) - 1) // _CHUNK_ROWS + 1
-            # Each of the child's chunks: its frames up to the empty one.
-            theirs = (iter(functools.partial(_frame, pipe), "") for _ in range(n_chunks // 2))
-            nbytes = _write(chain([head], _interleaved(records, theirs), [tail]), fh)
-        except BaseException:
+        for first in range(2):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                try:
+                    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+                except OSError:
+                    # Refused past the system's limit; the default pipe works, slower.
+                    pass
+                pid = os.fork()
+                if pid == 0:
+                    _render_worker(form, columns, first, write_fd, pipes)
+            finally:
+                # Held by its worker alone, so the pipe ends when the worker does.
+                os.close(write_fd)
+            pids.append(pid)
+        n_chunks = (len(columns) - 1) // _CHUNK_ROWS + 1
+        head, frames, tail = _document(result, fmt, _interleaved(pipes, n_chunks))
+        nbytes = _to_sink(sink, lambda fh: _write_document(fh, head, frames, tail))
+    except BaseException:
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-    status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        code = os.waitstatus_to_exitcode(status)
-        raise HyperspinError(f"the render process exited with status {code}")
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for status in statuses:
+        if status != 0:
+            code = os.waitstatus_to_exitcode(status)
+            raise HyperspinError(f"the render process exited with status {code}")
     return nbytes
 
 
@@ -689,20 +720,27 @@ def _write_document(
 #: little-endian; a negative size is that of an error message instead.
 _FRAME_HEADER = 8
 
-#: The pipe asked for: it holds a chunk's text (about 320 kB as CSV, 800 kB
-#: as JSON), so the child can run a chunk ahead with that text in the pipe
-#: and not in either process.  Linux lets any user ask for 1 MiB by default.
+#: The size asked for each worker's pipe: it holds a chunk's text (about
+#: 320 kB as CSV, 800 kB as JSON), so a worker can run a chunk ahead with
+#: that text in the pipe and not in any process.  Linux lets any user ask
+#: for 1 MiB by default.
 _PIPE_BYTES = 1 << 20
 
 
-def _render_odd_chunks(form: _Format, columns: _Columns, out: IO[bytes]) -> NoReturn:
-    """The forked child: send each slice of text of the odd chunks of
-    ``columns`` as a frame, and an empty frame at each chunk's end, or the
-    message of the error that stopped it."""
+def _render_worker(
+    form: _Format, columns: _Columns, first: int, write_fd: int, inherited: list[IO[bytes]]
+) -> NoReturn:
+    """A forked worker: send each slice of text of chunks ``first``,
+    ``first + 2``, ... of ``columns`` through ``write_fd`` as a frame, and
+    an empty frame at each chunk's end, or the message of the error that
+    stopped it.  ``inherited`` are the parent's read ends, which it closes."""
     status = 1
     try:
+        for pipe in inherited:
+            pipe.close()
+        out = open(write_fd, "wb")
         try:
-            for text in form.render(columns.chunks(1, 2)):
+            for text in form.render(columns.chunks(first, 2)):
                 data = text.encode("utf-8")
                 # Keep no text while the next slice is made.
                 del text
@@ -710,7 +748,7 @@ def _render_odd_chunks(form: _Format, columns: _Columns, out: IO[bytes]) -> NoRe
                 out.write(data)
                 if not data:
                     # The parent waits for the end of a chunk before it
-                    # writes its next one: do not keep it in the buffer.
+                    # reads the next one: do not keep it in the buffer.
                     out.flush()
                 del data
             status = 0
@@ -724,8 +762,8 @@ def _render_odd_chunks(form: _Format, columns: _Columns, out: IO[bytes]) -> NoRe
         os._exit(status)
 
 
-def _frame(pipe: IO[bytes]) -> str:
-    """The text of the next frame that the child sends."""
+def _frame(pipe: IO[bytes]) -> bytes:
+    """The text, as UTF-8, of the next frame that a worker sends."""
     header = pipe.read(_FRAME_HEADER)
     size = int.from_bytes(header, "little", signed=True)
     data = pipe.read(abs(size))
@@ -733,19 +771,39 @@ def _frame(pipe: IO[bytes]) -> str:
         raise HyperspinError("the render process ended before sending all rows")
     if size < 0:
         raise HyperspinError(f"the render process failed: {data.decode('utf-8')}")
-    return data.decode("utf-8")
+    return data
 
 
-def _interleaved(own: Iterator[str], theirs: Iterator[Iterator[str]]) -> Iterator[str]:
-    """The slices of a chunk of ``own``, then those of a chunk of ``theirs``
-    while they last, and so on.  In ``own`` an empty text ends a chunk."""
-    for text in own:
-        if text:
-            yield text
-            # Keep no text while the next one is read or made.
-            del text
-        else:
-            yield from next(theirs, ())
+def _interleaved(pipes: Sequence[IO[bytes]], n_chunks: int) -> Iterator[bytes]:
+    """The frames of ``n_chunks`` chunks in order, chunk ``c`` read from
+    ``pipes[c % 2]`` up to its empty frame, which is not handed on."""
+    for chunk in range(n_chunks):
+        yield from iter(functools.partial(_frame, pipes[chunk % 2]), b"")
+
+
+def _write_document(fh: IO[str], head: str, frames: Iterator[bytes], tail: str) -> int:
+    """Write ``head``, the workers' ``frames`` and ``tail`` to ``fh``;
+    returns the bytes written.
+
+    The frames are copied as they are into ``fh.buffer``, the binary layer
+    of a text stream, after ``fh`` is flushed.  That layer may take part of
+    a write, as a raw ``FileIO`` under ``PYTHONUNBUFFERED`` may, so each is
+    repeated until it is all taken.  A sink without one is written text.
+    """
+    binary = getattr(fh, "buffer", None)
+    if binary is None:
+        texts = (data.decode("utf-8") for data in frames)
+        return _write(chain([head], texts, [tail]), fh)
+    fh.flush()
+    nbytes = 0
+    for data in chain([head.encode("utf-8")], frames, [tail.encode("utf-8")]):
+        view = memoryview(data)
+        while view:
+            view = view[binary.write(view) :]
+        nbytes += len(data)
+        # Free this frame before the next one is read.
+        del data, view
+    return nbytes
 
 
 def _write(texts: Iterable[str], fh: IO[str]) -> int:

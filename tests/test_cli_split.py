@@ -1,12 +1,14 @@
-"""``hyperspin sweep`` renders the odd chunks of a sweep in a forked child,
-which sends each slice of their text as a frame and ends each chunk with an
-empty one.
+"""``hyperspin sweep`` renders a sweep of two or more chunks in two forked
+workers: worker ``k`` renders chunks ``k``, ``k + 2``, ..., and sends each
+slice of their text as a frame and ends each chunk with an empty one.  The
+parent renders nothing; it merges the frames in chunk order into the sink.
 
 Its output and byte count must be those of library ``emit``, which renders
-in-process, however the chunks are sliced and whether or not the pipe may be
-enlarged, and a failure on either side, mid-chunk too, must end as one error
-line with the child reaped.  ``os.fork`` warns on Python 3.12+ in a multi-threaded process;
-these tests make that warning an error.
+in-process, however the chunks are sliced, whether or not the pipes may be
+enlarged and however little the sink takes per write, and a failure in the
+parent or in either worker, mid-chunk too, must end as one error line with
+both workers reaped.  ``os.fork`` warns on Python 3.12+ in a multi-threaded
+process; these tests make that warning an error.
 """
 
 import errno
@@ -65,7 +67,7 @@ def _reported_bytes(stderr):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Small chunks, and the pids of the children that ``os.fork`` makes."""
+    """Small chunks, and the pids of the workers that ``os.fork`` makes."""
     monkeypatch.setattr(sweep_module, "_CHUNK_ROWS", CHUNK)
     pids = []
     real_fork = os.fork
@@ -98,17 +100,17 @@ def test_cli_sweep_writes_what_emit_writes(forks, capsys, tmp_path, chunks, fmt,
     got = out.read_bytes() if to_file else captured.out.encode("utf-8")
     assert got == want.encode("utf-8")
     assert _reported_bytes(captured.err) == want_bytes == len(got)
-    assert len(forks) == (chunks >= 2)
+    assert len(forks) == (2 if chunks >= 2 else 0)
     _assert_no_child_left()
 
 
-def _fail_in_child(how):
-    """``_Columns.chunks`` that fails where the child, and only the child,
-    asks for the chunks from chunk 1 on."""
+def _fail_in_worker(how, worker):
+    """``_Columns.chunks`` that fails where worker ``worker``, and only that
+    worker, asks for its chunks."""
     real_chunks = sweep_module._Columns.chunks
 
     def chunks(self, start=0, stride=1):
-        if start == 1:
+        if (start, stride) == (worker, 2):
             if how == "dies":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("injected")
@@ -117,20 +119,40 @@ def _fail_in_child(how):
     return chunks
 
 
-@pytest.mark.parametrize(
+#: How a worker fails, and the error line that the command then prints.
+FAILURES = pytest.mark.parametrize(
     ("how", "message"),
     [
         ("raises", "hyperspin: error: the render process failed: RuntimeError: injected\n"),
         ("dies", "hyperspin: error: the render process ended before sending all rows\n"),
     ],
 )
+
+
+def _check_failing_worker(forks, monkeypatch, capsys, tmp_path, worker, fmt, how, message):
+    monkeypatch.setattr(sweep_module._Columns, "chunks", _fail_in_worker(how, worker))
+    out = tmp_path / "out"
+    assert cli.main(_sweep_argv(3, fmt) + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    # Worker 0's first frame is read before the file is opened.
+    assert out.exists() == (worker == 1)
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@FAILURES
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_failing_child_is_one_error_line(forks, monkeypatch, capsys, tmp_path, fmt, how, message):
-    monkeypatch.setattr(sweep_module._Columns, "chunks", _fail_in_child(how))
-    assert cli.main(_sweep_argv(3, fmt) + ["--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == message
-    assert len(forks) == 1
-    _assert_no_child_left()
+    # Worker 1, which renders the odd chunks, as the one child did before.
+    _check_failing_worker(forks, monkeypatch, capsys, tmp_path, 1, fmt, how, message)
+
+
+@FAILURES
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_failing_first_worker_is_one_error_line(
+    forks, monkeypatch, capsys, tmp_path, fmt, how, message
+):
+    _check_failing_worker(forks, monkeypatch, capsys, tmp_path, 0, fmt, how, message)
 
 
 #: Rows per slice of text in the tests below: 4 slices per chunk, and 3 and
@@ -145,24 +167,25 @@ def _rows_in(text):
 
 @pytest.fixture
 def frames(monkeypatch):
-    """The rows in each frame that this process reads from the child; an
+    """The rows in each frame that this process reads from the workers; an
     empty frame, which ends a chunk, counts as 0."""
     rows = []
     real_frame = sweep_module._frame
 
     def recording_frame(pipe):
-        text = real_frame(pipe)
-        rows.append(_rows_in(text))
-        return text
+        data = real_frame(pipe)
+        rows.append(_rows_in(data.decode("utf-8")))
+        return data
 
     monkeypatch.setattr(sweep_module, "_frame", recording_frame)
     return rows
 
 
-def _child_frames(rows, slice_rows):
-    """The rows of each frame the child sends for a sweep of ``rows`` rows."""
+def _worker_frames(rows, slice_rows):
+    """The rows of each frame the workers send for a sweep of ``rows`` rows,
+    in the order of the chunks."""
     frames = []
-    for first in range(CHUNK, rows, 2 * CHUNK):
+    for first in range(0, rows, CHUNK):
         n = min(CHUNK, rows - first)
         frames += [min(slice_rows, n - cut) for cut in range(0, n, slice_rows)] + [0]
     return frames
@@ -181,8 +204,8 @@ def test_cli_sweep_sends_each_chunk_in_slices(
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == want.encode("utf-8")
     assert _reported_bytes(capsys.readouterr().err) == want_bytes == len(want.encode("utf-8"))
-    assert frames == _child_frames(rows, slice_rows)
-    assert len(forks) == 1
+    assert frames == _worker_frames(rows, slice_rows)
+    assert len(forks) == 2
     _assert_no_child_left()
 
 
@@ -207,18 +230,94 @@ def test_each_write_of_the_split_is_one_slice(forks, monkeypatch, fmt):
     if fmt == "json":
         records = records[:-1]
     assert all(0 < _rows_in(text) <= 16 for text in records)
-    assert len(forks) == 1
+    assert len(forks) == 2
     _assert_no_child_left()
 
 
-def _fail_mid_chunk(how, parent):
-    """``_Format.render`` that, in the child, sends the first slice of its
-    first chunk and then fails."""
+class _ShortWrites(io.RawIOBase):
+    """A raw binary layer, as ``sys.stdout.buffer`` is under
+    ``PYTHONUNBUFFERED``, that takes at most ``limit`` bytes per write."""
+
+    def __init__(self, limit):
+        self.limit, self.data, self.calls = limit, bytearray(), 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.calls += 1
+        taken = bytes(data[: self.limit])
+        self.data += taken
+        return len(taken)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("sink_kind", ["short-writes", "text-only"])
+def test_the_merge_writes_what_the_sink_takes(forks, fmt, sink_kind):
+    argv = _sweep_argv(7, fmt)
+    want, want_bytes, _ = _library_text(argv)
+    grid = cli._sweep_grid_from_args(cli.build_parser().parse_args(argv))
+    if sink_kind == "text-only":
+        sink = _Recording()
+        assert sweep_module._emit(run_sweep(grid), fmt, sink, split=True) == want_bytes
+        assert "".join(sink.writes) == want
+    else:
+        raw = _ShortWrites(3000)
+        sink = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+        # Text still held by the text layer goes out before the frames.
+        sink.write("before\n")
+        assert sweep_module._emit(run_sweep(grid), fmt, sink, split=True) == want_bytes
+        assert bytes(raw.data) == b"before\n" + want.encode("utf-8")
+        assert raw.calls > len(raw.data) // raw.limit
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_parent_renders_no_chunk(forks, monkeypatch, tmp_path, fmt):
+    argv = _sweep_argv(7, fmt)
+    want, _, _ = _library_text(argv)
+    # Every process that asks for chunks to render writes its pid here.
+    read_fd, write_fd = os.pipe()
+    real_chunks = sweep_module._Columns.chunks
+
+    def reporting_chunks(self, start=0, stride=1):
+        os.write(write_fd, os.getpid().to_bytes(8, "little"))
+        return real_chunks(self, start, stride)
+
+    monkeypatch.setattr(sweep_module._Columns, "chunks", reporting_chunks)
+    out = tmp_path / f"out.{fmt}"
+    try:
+        assert cli.main(argv + ["--out", str(out)]) == 0
+    finally:
+        os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        reported = pipe.read()
+    pids = [int.from_bytes(reported[i : i + 8], "little") for i in range(0, len(reported), 8)]
+    assert os.getpid() not in pids
+    assert sorted(pids) == sorted(forks) and len(forks) == 2
+    assert out.read_bytes() == want.encode("utf-8")
+    _assert_no_child_left()
+
+
+def _fail_mid_chunk(monkeypatch, how, worker):
+    """``_Format.render`` that, in worker ``worker``, sends the first slice of
+    its first chunk and then fails."""
+    # Each worker asks for its chunks just before it renders them, so in a
+    # worker this holds its number alone.
+    started = []
+    real_chunks = sweep_module._Columns.chunks
+
+    def chunks(self, start=0, stride=1):
+        started.append(start)
+        return real_chunks(self, start, stride)
+
+    monkeypatch.setattr(sweep_module._Columns, "chunks", chunks)
     real_render = sweep_module._Format.render
 
     def render(self, chunks):
         texts = real_render(self, chunks)
-        if os.getpid() == parent:
+        if started != [worker]:
             yield from texts
             return
         yield next(texts)
@@ -229,26 +328,38 @@ def _fail_mid_chunk(how, parent):
     return render
 
 
-@pytest.mark.parametrize(
-    ("how", "message"),
-    [
-        ("raises", "hyperspin: error: the render process failed: RuntimeError: injected\n"),
-        ("dies", "hyperspin: error: the render process ended before sending all rows\n"),
-    ],
-)
+def _check_worker_failing_mid_chunk(
+    forks, frames, monkeypatch, capsys, tmp_path, worker, fmt, how, message
+):
+    monkeypatch.setattr(sweep_module, "_SLICE_ROWS", 16)
+    monkeypatch.setattr(sweep_module._Format, "render", _fail_mid_chunk(monkeypatch, how, worker))
+    assert cli.main(_sweep_argv(3, fmt) + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == message
+    if how == "raises":
+        # Chunk 0 whole if worker 1 fails, then the slice that the failing
+        # worker sent, then its error frame, which ``_frame`` raises.
+        assert frames == [16, 16, 16, 16, 0] * worker + [16]
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+@FAILURES
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_child_failing_mid_chunk_is_one_error_line(
     forks, frames, monkeypatch, capsys, tmp_path, fmt, how, message
 ):
-    monkeypatch.setattr(sweep_module, "_SLICE_ROWS", 16)
-    monkeypatch.setattr(sweep_module._Format, "render", _fail_mid_chunk(how, os.getpid()))
-    assert cli.main(_sweep_argv(3, fmt) + ["--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == message
-    if how == "raises":
-        # The slice that was sent, then the error frame, which ``_frame`` raises.
-        assert frames == [16]
-    assert len(forks) == 1
-    _assert_no_child_left()
+    # Worker 1, which renders the odd chunks, as the one child did before.
+    args = forks, frames, monkeypatch, capsys, tmp_path, 1, fmt, how, message
+    _check_worker_failing_mid_chunk(*args)
+
+
+@FAILURES
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_first_worker_failing_mid_chunk_is_one_error_line(
+    forks, frames, monkeypatch, capsys, tmp_path, fmt, how, message
+):
+    args = forks, frames, monkeypatch, capsys, tmp_path, 0, fmt, how, message
+    _check_worker_failing_mid_chunk(*args)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -268,8 +379,9 @@ def test_a_refused_pipe_size_keeps_the_bytes(forks, monkeypatch, capsys, tmp_pat
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == want.encode("utf-8")
     assert _reported_bytes(capsys.readouterr().err) == want_bytes
-    assert asked == [(fcntl.F_SETPIPE_SZ, sweep_module._PIPE_BYTES)]
-    assert len(forks) == 1
+    # Once for each worker's pipe.
+    assert asked == [(fcntl.F_SETPIPE_SZ, sweep_module._PIPE_BYTES)] * 2
+    assert len(forks) == 2
     _assert_no_child_left()
 
 
@@ -277,11 +389,11 @@ def test_a_refused_pipe_size_keeps_the_bytes(forks, monkeypatch, capsys, tmp_pat
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_failing_sink_write_kills_and_reaps_the_child(forks, capsys, fmt):
     # Every write to /dev/full fails with ENOSPC, here in the parent, while
-    # the child still has chunks to send.
+    # the workers still have chunks to send.
     assert cli.main(_sweep_argv(7, fmt) + ["--out", "/dev/full"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("hyperspin: i/o error: [Errno 28]") and err.count("\n") == 1
-    assert len(forks) == 1
+    assert len(forks) == 2
     _assert_no_child_left()
 
 

@@ -13,6 +13,8 @@ import sys
 #: gave before the point types, the column table and ``point_row`` moved to
 #: ``hyperspin.grid``: those the module defined and those it imported from
 #: other hyperspin modules (its standard-library imports are left out).
+#: ``_render_odd_chunks``, the child of the one-child render, is left out as
+#: well: ``_render_worker`` replaced it when two workers took over rendering.
 SWEEP_NAMES = """
 COLUMNS COLUMN_NAMES CSV_HEADER ChannelConfig DensityMatrix4 DomainError
 FLOAT_FORMAT FigurePreset HyperspinError KERNEL_VARIANT MAX_ROWS MEASURE_NAMES
@@ -25,10 +27,10 @@ _bloch_outside _build_presets _chunk_values _coherence_l1 _concurrence
 _concurrence_outside _csv_fields _dephased _diagonal_bloch _discord _document
 _emit _eof _eta_outside _evaluate _frame _grid _in_context _interleaved
 _json_fields _json_record _json_string _json_values _kernel_at _measure_chunk
-_pick _records_from _render_odd_chunks _row_chunks _row_of _run
-_state_constants _steering _steering_bounds _surface_presets _survival _write
-_write_document channel_params check_range density_matrix dephase emit
-figure_preset measure_all memory_kernel point_row run_preset run_sweep
+_pick _records_from _row_chunks _row_of _run _state_constants _steering
+_steering_bounds _surface_presets _survival _write _write_document
+channel_params check_range density_matrix dephase emit figure_preset
+measure_all memory_kernel point_row run_preset run_sweep
 """.split()
 
 PROBE = """\

@@ -482,6 +482,29 @@ def test_h1a_holds_a_slice_of_text_at_a_time(fmt):
     assert peak < 1_500_000
 
 
+def test_evaluate_allocates_little_beyond_what_it_keeps():
+    # 50,001 times at two taus: 0.4 MB of times and 0.8 MB of kernel.
+    grid = SweepGrid("lambda", (HALF_PI,), (0.8,), (0.1, 5.0), TimeGrid(0.0, 500.0, 0.01))
+    # Whatever a first evaluation loads is not counted as kept.
+    sweep_module._evaluate(small_grid())
+    tracemalloc.start()
+    try:
+        columns = sweep_module._evaluate(grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= columns.times.nbytes + columns.kernel.nbytes == 24 * 50_001
+    assert peak <= 2 * kept, (kept, peak)
+    # The values of the lists they were built from before.
+    times = grid.time.values()
+    assert columns.times.tolist() == times
+    kernels = [
+        memory_kernel(t, ChannelConfig(mu=0.8, tau=tau)).k for tau in grid.tau for t in times
+    ]
+    assert columns.kernel.tolist() == kernels
+    assert columns.regimes == ["markovian", "non_markovian"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
