@@ -22,7 +22,7 @@ from .errors import (
     UnknownChannelError,
     UnknownPresetError,
 )
-from .grid import CSV_HEADER, SweepGrid, TimeGrid, check_range, point_row
+from .grid import CSV_HEADER, SweepGrid, TimeGrid, _to_sink, check_range, point_row
 from .production import channel_params
 
 EXIT_OK = 0
@@ -136,14 +136,6 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> SweepGrid:
     return SweepGrid(args.channel, values["phi"], values["mu"], values["tau"], axes["time"])
 
 
-def _write_text(payload: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
 def _cmd_params(args: argparse.Namespace) -> int:
     ch = channel_params(args.channel)
     print(
@@ -166,7 +158,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         payload = json.dumps(row.as_dict()) + "\n"
     else:
         payload = CSV_HEADER + "\n" + row.csv_line() + "\n"
-    _write_text(payload, args.out)
+    _to_sink(args.out or sys.stdout, [payload.encode("utf-8")])
     return EXIT_OK
 
 

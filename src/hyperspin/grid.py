@@ -12,13 +12,18 @@ The engine looks ``MAX_ROWS``, ``memory_kernel`` and ``density_matrix`` up
 in this module, as ``point_row`` does, so one assignment here (a changed
 cap, or a patched layer in a test) reaches the engine and the scalar path
 alike.
+
+``_to_sink``, which writes every output's UTF-8 bytes (``measure``'s line,
+``emit``'s document and the merge of the ``sweep`` workers), lives here
+too, so ``measure`` writes through it without loading the engine.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import IO, Any, Iterable, Sequence
 
 from .channel import ChannelConfig, _survival, dephase, memory_kernel
 from .errors import DomainError, HyperspinError
@@ -228,3 +233,40 @@ def point_row(grid: SweepGrid) -> SweepRow:
     except HyperspinError as exc:
         raise _in_context(exc, channel, phi, mu, tau, t) from exc
     return SweepRow(channel, phi, mu, tau, cfg.regime.value, t, record)
+
+
+def _to_sink(sink: str | os.PathLike | IO[str] | None, texts: Iterable[bytes]) -> int:
+    """Write ``texts``, UTF-8, to ``sink``, a path to open ``"wb"`` or a
+    text stream; returns the bytes written.
+
+    A text stream is flushed, so that what it holds goes out first, and its
+    binary layer ``.buffer`` is written.  That layer may take part of a
+    write, as a raw ``FileIO`` under ``PYTHONUNBUFFERED`` may, so each write
+    is repeated until all is taken.  A stream with no binary layer is
+    written decoded text.  ``None``, the ``sys.stdout`` of a process started
+    with its standard output closed, raises ``HyperspinError``.
+    """
+    if sink is None:
+        raise HyperspinError("no output stream: standard output is closed")
+    path = isinstance(sink, (str, os.PathLike))
+    binary = open(sink, "wb") if path else getattr(sink, "buffer", None)
+    try:
+        if binary is not None and not path:
+            sink.flush()
+        nbytes = 0
+        for data in texts:
+            if binary is None:
+                if data:
+                    sink.write(data.decode("utf-8"))
+            else:
+                view = memoryview(data)
+                while view:
+                    view = view[binary.write(view) :]
+                del view
+            nbytes += len(data)
+            # Free this slice before the next one is made or read.
+            del data
+        return nbytes
+    finally:
+        if path:
+            binary.close()

@@ -12,8 +12,10 @@ grid: checking, reading or emitting the rows evaluates them as numpy
 columns over a bounded chunk of rows, so memory depends on the chunk size
 and not on the number of rows.  A chunk is the numpy batch; a slice of
 ``_SLICE_ROWS`` of its rows is the unit of text: its values are converted
-to Python objects, its lines joined and its text written one slice at a
-time, so no process holds a whole chunk's text.
+to Python objects, its lines joined and encoded and its bytes written one
+slice at a time, so no process holds a whole chunk's text.  Text becomes
+UTF-8 in ``_Format.render`` alone, and every output, rendered here or
+merged from workers, is written by ``hyperspin.grid._to_sink``.
 Rendering formats each string that repeats once where it can: the
 ``channel, phi, mu, tau, regime`` prefix once per series in a chunk, and
 ``time, kernel, eta`` once per run of chunks that cover the same ``(mu,
@@ -39,13 +41,13 @@ The ``hyperspin sweep`` command renders in two forked workers and merges
 their text in a parent that renders nothing.  Once ``run_sweep`` has built
 and checked the columns, it forks two identical workers on Linux if the
 rows take more than one chunk.  Worker ``k`` evaluates and renders chunks
-``k``, ``k + 2``, ...; it sends each slice's text through a pipe of its own
-as one length-prefixed frame, and an empty frame at each chunk's end,
+``k``, ``k + 2``, ...; it sends each slice's bytes through a pipe of its
+own as one length-prefixed frame, and an empty frame at each chunk's end,
 which it flushes at once.  The parent reads worker 0's first frame before
 it opens the sink, so a failure in the first rows leaves a file as it was.
-It then copies the frames, chunk by chunk from the two pipes in turn, as
-bytes into the sink's binary layer, so the bytes and the byte count are
-those of ``emit``.  The parent holds the columns, the metadata and one
+It then hands the frames, chunk by chunk from the two pipes in turn, to
+the writer of ``emit``, so the bytes and the byte count are those of
+``emit``.  The parent holds the columns, the metadata and one
 frame at a time; each worker holds its chunk's columns and one slice of
 text besides the pages it shares with the parent.  As the parent renders
 nothing, the peak of the command is its footprint at the fork.  Each pipe
@@ -66,13 +68,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import (
     IO,
     TYPE_CHECKING,
     Any,
-    AnyStr,
     Callable,
     Iterable,
     Iterator,
@@ -94,6 +95,7 @@ from .grid import (
     TimeGrid,
     _csv_fields,
     _kernel_at,
+    _to_sink,
     point_row,
 )
 from .measures import (
@@ -414,9 +416,9 @@ class _Format:
         filled = map(template.__mod__, zip(*self._converted(columns, values)))
         return np.array(list(filled), dtype=object)
 
-    def render(self, chunks: Iterable[_Chunk]) -> Iterator[str]:
-        """Each chunk's rows as text, ``_SLICE_ROWS`` rows at a time, and
-        then an empty text that ends the chunk.  Each series is rendered
+    def render(self, chunks: Iterable[_Chunk]) -> Iterator[bytes]:
+        """Each chunk's rows as UTF-8, ``_SLICE_ROWS`` rows at a time, and
+        then ``b""``, which ends the chunk.  Each series is rendered
         once per chunk, and each block of points once per run of chunks that
         carry the same point lists."""
         points = rendered = None
@@ -434,8 +436,8 @@ class _Format:
                     middles[part].tolist(),
                     *self._converted(_MEASURE_COLUMNS, values),
                 )
-                yield "".join(map(self.line.__mod__, lines))
-            yield ""
+                yield "".join(map(self.line.__mod__, lines)).encode("utf-8")
+            yield b""
 
 
 _CSV = _Format(
@@ -622,45 +624,40 @@ def _emit(result: SweepResult, fmt: str, sink: str | Path | IO[str], split: bool
     columns = result._columns
     if split and sys.platform == "linux" and columns is not None and len(columns) > _CHUNK_ROWS:
         return _emit_from_workers(result, fmt, sink, form, columns)
-    head, records, tail = _document(result, fmt, form.render(result._chunks()))
-    return _to_sink(sink, lambda fh: _write(chain([head], records, [tail]), fh))
+    return _to_sink(sink, _document(result, fmt, form.render(result._chunks())))
 
 
-def _to_sink(sink: str | Path | IO[str], write: Callable[[IO[str]], int]) -> int:
-    """``write`` to ``sink``, a text stream or a path to open for it."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            return write(fh)
-    return write(sink)
-
-
-def _document(
-    result: SweepResult, fmt: str, records: Iterator[AnyStr]
-) -> tuple[str, Iterator[AnyStr], str]:
-    """The text before the records, the records, and the text after them.
+def _document(result: SweepResult, fmt: str, records: Iterator[bytes]) -> Iterator[bytes]:
+    """The document as UTF-8: the text before the records, the records'
+    slices, and the text after them.
 
     The head and the first slice of records are rendered, or read from the
-    first worker, here, before a sink file is opened, so a result whose
-    metadata or first rows cannot be rendered leaves the file as it was.
+    first worker, here, before ``_to_sink`` opens a sink file, so a result
+    whose metadata or first rows cannot be rendered leaves the file as it was.
     """
     first = list(islice(records, 1))
-    if fmt == "csv":
-        return CSV_HEADER + "\n", _records_from(first, records), ""
-    empty = json.dumps({"metadata": result.metadata, "records": []}, indent=1) + "\n"
-    if not first:
-        return empty, iter(()), ""
-    # "records" is the last member, so its "[]" is the last one in the text.
-    head, _, tail = empty.rpartition("[]")
-    # The first record has no record before it to be separated from.
-    first[0] = first[0][1:]
-    return head + "[", _records_from(first, records), "\n ]" + tail
+    head, tail = CSV_HEADER + "\n", ""
+    if fmt == "json":
+        head = json.dumps({"metadata": result.metadata, "records": []}, indent=1) + "\n"
+        if first:
+            # "records" is the last member, so its "[]" is the last one in the text.
+            head, _, tail = head.rpartition("[]")
+            head, tail = head + "[", "\n ]" + tail
+            # The first record has no record before it to be separated from.
+            first[0] = first[0][1:]
+    return _records_from(head.encode("utf-8"), first, records, tail.encode("utf-8"))
 
 
-def _records_from(first: list[AnyStr], rest: Iterator[AnyStr]) -> Iterator[AnyStr]:
-    """The text in ``first``, if any, then ``rest``; no text is kept once handed on."""
+def _records_from(
+    head: bytes, first: list[bytes], rest: Iterator[bytes], tail: bytes
+) -> Iterator[bytes]:
+    """``head``, the slice in ``first``, if any, ``rest``, then ``tail``; no
+    slice is kept once handed on."""
+    yield head
     if first:
         yield first.pop()
     yield from rest
+    yield tail
 
 
 def _emit_from_workers(
@@ -676,9 +673,11 @@ def _emit_from_workers(
     import fcntl
     import signal
 
-    # Nothing buffered for the output streams is copied into a worker.
-    sys.stdout.flush()
-    sys.stderr.flush()
+    # Nothing buffered for the output streams is copied into a worker.  A
+    # stream is None where the process started with its descriptor closed.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
     pids: list[int] = []
     pipes: list[IO[bytes]] = []
     try:
@@ -699,8 +698,7 @@ def _emit_from_workers(
                 os.close(write_fd)
             pids.append(pid)
         n_chunks = (len(columns) - 1) // _CHUNK_ROWS + 1
-        head, frames, tail = _document(result, fmt, _interleaved(pipes, n_chunks))
-        nbytes = _to_sink(sink, lambda fh: _write_document(fh, head, frames, tail))
+        nbytes = _to_sink(sink, _document(result, fmt, _interleaved(pipes, n_chunks)))
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -740,16 +738,14 @@ def _render_worker(
             pipe.close()
         out = open(write_fd, "wb")
         try:
-            for text in form.render(columns.chunks(first, 2)):
-                data = text.encode("utf-8")
-                # Keep no text while the next slice is made.
-                del text
+            for data in form.render(columns.chunks(first, 2)):
                 out.write(len(data).to_bytes(_FRAME_HEADER, "little", signed=True))
                 out.write(data)
                 if not data:
                     # The parent waits for the end of a chunk before it
                     # reads the next one: do not keep it in the buffer.
                     out.flush()
+                # Keep no text while the next slice is made.
                 del data
             status = 0
         except Exception as exc:
@@ -779,45 +775,6 @@ def _interleaved(pipes: Sequence[IO[bytes]], n_chunks: int) -> Iterator[bytes]:
     ``pipes[c % 2]`` up to its empty frame, which is not handed on."""
     for chunk in range(n_chunks):
         yield from iter(functools.partial(_frame, pipes[chunk % 2]), b"")
-
-
-def _write_document(fh: IO[str], head: str, frames: Iterator[bytes], tail: str) -> int:
-    """Write ``head``, the workers' ``frames`` and ``tail`` to ``fh``;
-    returns the bytes written.
-
-    The frames are copied as they are into ``fh.buffer``, the binary layer
-    of a text stream, after ``fh`` is flushed.  That layer may take part of
-    a write, as a raw ``FileIO`` under ``PYTHONUNBUFFERED`` may, so each is
-    repeated until it is all taken.  A sink without one is written text.
-    """
-    binary = getattr(fh, "buffer", None)
-    if binary is None:
-        texts = (data.decode("utf-8") for data in frames)
-        return _write(chain([head], texts, [tail]), fh)
-    fh.flush()
-    nbytes = 0
-    for data in chain([head.encode("utf-8")], frames, [tail.encode("utf-8")]):
-        view = memoryview(data)
-        while view:
-            view = view[binary.write(view) :]
-        nbytes += len(data)
-        # Free this frame before the next one is read.
-        del data, view
-    return nbytes
-
-
-def _write(texts: Iterable[str], fh: IO[str]) -> int:
-    nbytes = 0
-    for text in texts:
-        # An empty text only ends a chunk.
-        if not text:
-            continue
-        fh.write(text)
-        # UTF-8 spends one byte per ASCII character; encode only the rest.
-        nbytes += len(text) if text.isascii() else len(text.encode("utf-8"))
-        # Free this slice's text before the next one is made.
-        del text
-    return nbytes
 
 
 _PHI_FULL = tuple(k * math.pi / 180.0 for k in range(181))

@@ -7,6 +7,7 @@ error line it gave before.
 """
 
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -57,6 +58,11 @@ BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHON
 def _in_a_process(launcher: list[str], argv: list[str]) -> tuple[int, bytes, str]:
     proc = subprocess.run([*launcher, *argv], capture_output=True, env=BUFFERED, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr.decode("utf-8")
+
+
+def _stdout_closed(argv: list[str]) -> list[str]:
+    """``argv`` run with fd 1 closed at start, so that ``sys.stdout`` is None."""
+    return ["sh", "-c", 'exec "$0" "$@" >&-', *argv]
 
 
 def test_the_console_script_runs_the_entry():
@@ -128,9 +134,35 @@ def test_the_teardown_runs_only_when_a_flush_fails(stdout_closed, tmp_path):
     out = tmp_path / "out.json"
     argv = [sys.executable, "-c", TEARDOWN_PROBE, *MEASURE, "--out", str(out)]
     if stdout_closed:
-        # With fd 1 closed at start, ``sys.stdout`` is None and cannot flush.
-        argv = ["sh", "-c", 'exec "$0" "$@" >&-', *argv]
+        # ``sys.stdout`` is None and cannot flush.
+        argv = _stdout_closed(argv)
     proc = subprocess.run(argv, capture_output=True, env=BUFFERED, timeout=300)
     assert proc.returncode == 0
     assert proc.stderr == (b"teardown ran\n" if stdout_closed else b"")
     assert out.read_bytes().startswith(b'{"channel": "lambda"')
+
+
+@pytest.mark.parametrize("argv", [MEASURE, ["sweep", "--figure", "m08"]], ids=["measure", "m08"])
+def test_writing_to_a_closed_stdout_is_one_error_line(argv):
+    proc = subprocess.run(
+        _stdout_closed([*LAUNCHERS["python -m hyperspin"], *argv]),
+        capture_output=True,
+        env=BUFFERED,
+        timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b"hyperspin: error: no output stream: standard output is closed\n"
+
+
+#: The sha256 of ``sweep --figure h1a`` as CSV, the pin in tests/test_golden.py.
+H1A_CSV = "9842e5a8aed04cdd23d9110bc178e45511d80f43617bb200fa9f84013a63d3cb"
+
+
+def test_a_sweep_to_a_file_needs_no_stdout(tmp_path):
+    # Rendered by the two forked workers, which the process forks only once
+    # it has flushed whatever output streams it has.
+    out = tmp_path / "h1a.csv"
+    argv = [*LAUNCHERS["python -m hyperspin"], "sweep", "--figure", "h1a", "--out", str(out)]
+    proc = subprocess.run(_stdout_closed(argv), capture_output=True, env=BUFFERED, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == H1A_CSV

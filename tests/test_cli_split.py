@@ -251,25 +251,43 @@ class _ShortWrites(io.RawIOBase):
         return len(taken)
 
 
+#: The two writers of a sweep: the merge of the workers' frames, and
+#: library ``emit``, which renders in-process.  Both write through the one
+#: ``_to_sink``.
+WRITERS = {
+    "merge": lambda result, fmt, sink: sweep_module._emit(result, fmt, sink, split=True),
+    "emit": emit,
+}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("sink_kind", ["short-writes", "text-only"])
-def test_the_merge_writes_what_the_sink_takes(forks, fmt, sink_kind):
+@pytest.mark.parametrize(
+    ("writer", "sink_kind"),
+    [
+        # The merge's cases are named by the sink alone, as before emit joined.
+        pytest.param(writer, kind, id=kind if writer == "merge" else f"{writer}-{kind}")
+        for writer in WRITERS
+        for kind in ("short-writes", "text-only")
+    ],
+)
+def test_the_merge_writes_what_the_sink_takes(forks, fmt, writer, sink_kind):
     argv = _sweep_argv(7, fmt)
     want, want_bytes, _ = _library_text(argv)
     grid = cli._sweep_grid_from_args(cli.build_parser().parse_args(argv))
+    write = WRITERS[writer]
     if sink_kind == "text-only":
         sink = _Recording()
-        assert sweep_module._emit(run_sweep(grid), fmt, sink, split=True) == want_bytes
+        assert write(run_sweep(grid), fmt, sink) == want_bytes
         assert "".join(sink.writes) == want
     else:
         raw = _ShortWrites(3000)
         sink = io.TextIOWrapper(raw, encoding="utf-8", newline="")
-        # Text still held by the text layer goes out before the frames.
+        # Text still held by the text layer goes out before the document.
         sink.write("before\n")
-        assert sweep_module._emit(run_sweep(grid), fmt, sink, split=True) == want_bytes
+        assert write(run_sweep(grid), fmt, sink) == want_bytes
         assert bytes(raw.data) == b"before\n" + want.encode("utf-8")
         assert raw.calls > len(raw.data) // raw.limit
-    assert len(forks) == 2
+    assert len(forks) == (2 if writer == "merge" else 0)
     _assert_no_child_left()
 
 

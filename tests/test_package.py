@@ -15,6 +15,8 @@ import sys
 #: other hyperspin modules (its standard-library imports are left out).
 #: ``_render_odd_chunks``, the child of the one-child render, is left out as
 #: well: ``_render_worker`` replaced it when two workers took over rendering.
+#: So are ``_write`` and ``_write_document``, the text and the byte writers
+#: that ``hyperspin.grid._to_sink`` replaced when every output became bytes.
 SWEEP_NAMES = """
 COLUMNS COLUMN_NAMES CSV_HEADER ChannelConfig DensityMatrix4 DomainError
 FLOAT_FORMAT FigurePreset HyperspinError KERNEL_VARIANT MAX_ROWS MEASURE_NAMES
@@ -28,7 +30,7 @@ _concurrence_outside _csv_fields _dephased _diagonal_bloch _discord _document
 _emit _eof _eta_outside _evaluate _frame _grid _in_context _interleaved
 _json_fields _json_record _json_string _json_values _kernel_at _measure_chunk
 _pick _records_from _row_chunks _row_of _run _state_constants _steering
-_steering_bounds _surface_presets _survival _write _write_document
+_steering_bounds _surface_presets _survival
 channel_params check_range density_matrix dephase emit figure_preset
 measure_all memory_kernel point_row run_preset run_sweep
 """.split()
