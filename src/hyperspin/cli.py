@@ -22,7 +22,7 @@ from .errors import (
     UnknownChannelError,
     UnknownPresetError,
 )
-from .grid import CSV_HEADER, SweepGrid, TimeGrid, _to_sink, check_range, point_row
+from .grid import CSV_HEADER, SweepGrid, TimeGrid, _check_rows, _to_sink, check_range, point_row
 from .production import channel_params
 
 EXIT_OK = 0
@@ -89,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_axis(spec: str) -> tuple[str, TimeGrid | tuple[float, ...]]:
-    """One ``--grid`` axis: a ``TimeGrid`` for time, the point values otherwise."""
+def _parse_axis(spec: str) -> tuple[str, list[float], int]:
+    """One ``--grid`` axis: its name, its bounds and its number of points."""
     name, sep, rest = spec.partition("=")
     if not sep or name not in GRID_AXES:
         raise GridSyntaxError(
@@ -104,36 +104,38 @@ def _parse_axis(spec: str) -> tuple[str, TimeGrid | tuple[float, ...]]:
     except ValueError:
         raise GridSyntaxError(f"non-numeric grid range {rest!r}") from None
     if name == "time":
-        return name, TimeGrid(*bounds)
-    start, _, step = bounds
-    return name, tuple(start + k * step for k in range(check_range(name, *bounds)))
+        return name, bounds, len(TimeGrid(*bounds))
+    return name, bounds, check_range(name, *bounds)
 
 
 def _sweep_grid_from_args(args: argparse.Namespace) -> SweepGrid:
-    axes: dict[str, TimeGrid | tuple[float, ...]] = {}
+    axes: dict[str, tuple[list[float], int]] = {}
     for spec in args.grid:
-        name, rng = _parse_axis(spec)
+        name, bounds, count = _parse_axis(spec)
         if name in axes:
             raise GridSyntaxError(f"axis {name!r} specified twice")
-        axes[name] = rng
+        axes[name] = bounds, count
     if "time" not in axes:
         raise GridSyntaxError("sweep needs a time axis: --grid time=START:STOP:STEP")
     if not args.channel:
         raise GridSyntaxError("sweep needs --channel")
 
-    phi_scalar = _resolve_phi(args)
-    scalars = {"phi": phi_scalar, "mu": args.mu, "tau": args.tau}
-    values: dict[str, tuple[float, ...]] = {}
+    scalars = {"phi": _resolve_phi(args), "mu": args.mu, "tau": args.tau}
     for name in ("phi", "mu", "tau"):
         if name in axes:
             if scalars[name] is not None:
                 raise GridSyntaxError(f"{name} given both as scalar and as grid axis")
-            values[name] = axes[name]
-        elif scalars[name] is not None:
-            values[name] = (float(scalars[name]),)
-        else:
+        elif scalars[name] is None:
             raise GridSyntaxError(f"missing {name}: pass --{name} or --grid {name}=...")
-    return SweepGrid(args.channel, values["phi"], values["mu"], values["tau"], axes["time"])
+    # An unknown channel stays a usage error; then the rows are counted
+    # before any axis is built.
+    channel_params(args.channel)
+    _check_rows(math.prod(count for _, count in axes.values()))
+    time = TimeGrid(*axes.pop("time")[0])
+    values = {name: (float(value),) for name, value in scalars.items() if name not in axes}
+    for name, ((start, _, step), count) in axes.items():
+        values[name] = tuple(start + k * step for k in range(count))
+    return SweepGrid(args.channel, values["phi"], values["mu"], values["tau"], time)
 
 
 def _cmd_params(args: argparse.Namespace) -> int:

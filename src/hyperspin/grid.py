@@ -13,13 +13,15 @@ in this module, as ``point_row`` does, so one assignment here (a changed
 cap, or a patched layer in a test) reaches the engine and the scalar path
 alike.
 
-``_to_sink``, which writes every output's UTF-8 bytes (``measure``'s line,
-``emit``'s document and the merge of the ``sweep`` workers), lives here
-too, so ``measure`` writes through it without loading the engine.
+``_to_sink``, which writes every byte, ``measure``'s, ``emit``'s, each
+``sweep`` worker's frames and their merge, to a binary or text stream or to
+a path it opens once their first piece is made, lives here too, so
+``measure`` writes through it without loading the engine.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -97,6 +99,12 @@ def check_range(axis: str, start: float, stop: float, step: float) -> int:
             f"{axis} range has about {steps + 1:.3g} points, more than MAX_ROWS = {MAX_ROWS}"
         )
     return int(math.floor(steps)) + 1
+
+
+def _check_rows(rows: int) -> None:
+    """Raise ``DomainError`` if a sweep of ``rows`` rows exceeds ``MAX_ROWS``."""
+    if rows > MAX_ROWS:
+        raise DomainError(f"grid has {rows} rows, more than MAX_ROWS = {MAX_ROWS}")
 
 
 @dataclass(frozen=True)
@@ -235,26 +243,34 @@ def point_row(grid: SweepGrid) -> SweepRow:
     return SweepRow(channel, phi, mu, tau, cfg.regime.value, t, record)
 
 
-def _to_sink(sink: str | os.PathLike | IO[str] | None, texts: Iterable[bytes]) -> int:
-    """Write ``texts``, UTF-8, to ``sink``, a path to open ``"wb"`` or a
-    text stream; returns the bytes written.
+def _to_sink(sink: str | os.PathLike | IO | None, texts: Iterable[bytes]) -> int:
+    """Write ``texts``, UTF-8, to ``sink``, a path to open ``"wb"``, a binary
+    stream or a text stream; returns the bytes written.
 
-    A text stream is flushed, so that what it holds goes out first, and its
-    binary layer ``.buffer`` is written.  That layer may take part of a
-    write, as a raw ``FileIO`` under ``PYTHONUNBUFFERED`` may, so each write
-    is repeated until all is taken.  A stream with no binary layer is
-    written decoded text.  ``None``, the ``sys.stdout`` of a process started
-    with its standard output closed, raises ``HyperspinError``.
+    A path is opened once the first piece of ``texts`` is made, so a failure
+    in it leaves the file as it was.  A binary stream (``io.RawIOBase``,
+    ``io.BufferedIOBase``) is written directly.  A text stream is flushed,
+    so that what it holds goes out first, and its binary layer ``.buffer``
+    is written.  A binary layer may take part of a write, as a raw
+    ``FileIO`` may, so each write is repeated until all is taken.  A stream
+    with no binary layer is written decoded text.  ``None``, the
+    ``sys.stdout`` of a process started with its standard output closed,
+    raises ``HyperspinError``.
     """
     if sink is None:
         raise HyperspinError("no output stream: standard output is closed")
+    texts = iter(texts)
+    data = next(texts, None)
     path = isinstance(sink, (str, os.PathLike))
-    binary = open(sink, "wb") if path else getattr(sink, "buffer", None)
+    if path:
+        binary = open(sink, "wb")
+    elif isinstance(sink, (io.RawIOBase, io.BufferedIOBase)):
+        binary = sink
+    elif (binary := getattr(sink, "buffer", None)) is not None:
+        sink.flush()
     try:
-        if binary is not None and not path:
-            sink.flush()
         nbytes = 0
-        for data in texts:
+        while data is not None:
             if binary is None:
                 if data:
                     sink.write(data.decode("utf-8"))
@@ -264,8 +280,9 @@ def _to_sink(sink: str | os.PathLike | IO[str] | None, texts: Iterable[bytes]) -
                     view = view[binary.write(view) :]
                 del view
             nbytes += len(data)
-            # Free this slice before the next one is made or read.
+            # Free this piece before the next one is made or read.
             del data
+            data = next(texts, None)
         return nbytes
     finally:
         if path:

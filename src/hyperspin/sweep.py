@@ -14,8 +14,8 @@ and not on the number of rows.  A chunk is the numpy batch; a slice of
 ``_SLICE_ROWS`` of its rows is the unit of text: its values are converted
 to Python objects, its lines joined and encoded and its bytes written one
 slice at a time, so no process holds a whole chunk's text.  Text becomes
-UTF-8 in ``_Format.render`` alone, and every output, rendered here or
-merged from workers, is written by ``hyperspin.grid._to_sink``.
+UTF-8 in ``_Format.render`` alone, and every byte, of an output or of a
+worker's frames, is written by ``hyperspin.grid._to_sink``.
 Rendering formats each string that repeats once where it can: the
 ``channel, phi, mu, tau, regime`` prefix once per series in a chunk, and
 ``time, kernel, eta`` once per run of chunks that cover the same ``(mu,
@@ -41,12 +41,12 @@ The ``hyperspin sweep`` command renders in two forked workers and merges
 their text in a parent that renders nothing.  Once ``run_sweep`` has built
 and checked the columns, it forks two identical workers on Linux if the
 rows take more than one chunk.  Worker ``k`` evaluates and renders chunks
-``k``, ``k + 2``, ...; it sends each slice's bytes through a pipe of its
-own as one length-prefixed frame, and an empty frame at each chunk's end,
-which it flushes at once.  The parent reads worker 0's first frame before
-it opens the sink, so a failure in the first rows leaves a file as it was.
-It then hands the frames, chunk by chunk from the two pipes in turn, to
-the writer of ``emit``, so the bytes and the byte count are those of
+``k``, ``k + 2``, ...; ``_to_sink`` writes each slice's bytes into an
+unbuffered pipe of its own as one length-prefixed frame, and an empty
+frame at each chunk's end.  The parent hands the frames, chunk by chunk
+from the two pipes in turn, to the writer of ``emit``, which reads worker
+0's first frame before it opens the sink, so a failure in the first rows
+leaves a file as it was, and the bytes and the byte count are those of
 ``emit``.  The parent holds the columns, the metadata and one
 frame at a time; each worker holds its chunk's columns and one slice of
 text besides the pages it shares with the parent.  As the parent renders
@@ -68,7 +68,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import (
     IO,
@@ -105,15 +104,11 @@ from .measures import (
     SteeringResult,
     _anti_diagonal_bloch,
     _bloch_outside,
-    _coherence_l1,
     _concurrence,
     _concurrence_outside,
     _diagonal_bloch,
-    _discord,
-    _eof,
     _measure_values,
     _Ops,
-    _steering,
     _steering_bounds,
 )
 from .production import DensityMatrix4, channel_params
@@ -141,34 +136,34 @@ MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 #: Rows evaluated per chunk, the numpy batch: a chunk's measure columns are
 #: held while its slices are rendered, and its series and point strings are
 #: made once for all of them.  The ``wait4`` peak RSS in MB of ``hyperspin
-#: sweep``, when its parent rendered the even chunks and one child the odd
-#: ones, then its median wall seconds over 5 runs, with 256-row slices (the
-#: sizes alternating, a shared 2-core x86-64 VM, Python 3.11, numpy 2.4;
-#: runs of the same code differ by 10-30%):
+#: sweep`` rendered by two workers, then its median wall seconds, with
+#: 256-row slices (``scripts/cli_footprint.py --against``: each other size
+#: in 5 rounds alternating with 2,048, whose row is the median of those
+#: three runs; a shared 2-core x86-64 VM, Python 3.11, numpy 2.4):
 #:
 #:     rows    h1a CSV      h1a JSON     h2b CSV      h2b JSON
-#:     512     30.5  0.54   34.4  0.83   30.6  1.72   34.5  4.68
-#:     1,024   30.7  0.47   34.6  0.80   30.9  1.61   35.0  4.58
-#:     2,048   31.0  0.38   34.9  0.80   31.7  1.52   35.8  4.37
-#:     4,096   31.8  0.42   35.6  0.93   33.2  1.65   37.5  5.18
+#:     512     29.33  0.57  32.97  0.90  29.33  1.74  32.98  5.06
+#:     1,024   29.46  0.49  32.96  0.86  29.43  1.86  32.97  5.05
+#:     2,048   29.41  0.43  32.97  0.84  29.40  1.69  32.96  4.85
+#:     4,096   29.98  0.44  33.52  0.91  29.79  1.68  32.99  4.93
 #:
-#: 2,048 is the fastest on all four and peaks within 1.3 MB of 512.  A
-#: chunk renders its ``time, kernel, eta`` strings only when they are not
-#: those of the chunk its process rendered before, so small chunks cost a
-#: phi sweep little.
+#: 2,048 is the fastest in its rounds on all four but h2b CSV (4,096 by
+#: 0.01 s) and peaks within 0.1 MB of 512.  A chunk renders its ``time,
+#: kernel, eta`` strings only when they are not those of the chunk its
+#: process rendered before, so small chunks cost a phi sweep little.
 _CHUNK_ROWS = 1 << 11
 
 #: Rows per slice, the unit of text: a slice's values are converted to
 #: Python objects, its lines joined, and its text written, or sent from a
 #: worker of ``hyperspin sweep`` as one frame, before the next slice is made.
-#: Measured as for ``_CHUNK_ROWS``, with 2,048-row chunks, when the parent
-#: rendered the even chunks and one child the odd ones:
+#: Measured as for ``_CHUNK_ROWS``, with 2,048-row chunks; no size is the
+#: fastest on all four, and larger slices peak higher as JSON:
 #:
 #:     rows    h1a CSV      h1a JSON     h2b CSV      h2b JSON
-#:     128     30.9  0.47   34.6  0.78   31.7  1.61   35.6  4.65
-#:     256     31.0  0.42   34.9  0.79   31.7  1.55   35.8  4.48
-#:     512     31.2  0.41   35.5  0.82   32.0  1.56   36.3  4.30
-#:     1,024   31.9  0.41   36.6  0.81   32.6  1.60   37.5  4.75
+#:     128     29.34  0.48  32.92  0.84  29.40  1.90  32.91  5.46
+#:     256     29.38  0.47  33.02  0.90  29.39  1.74  32.93  4.83
+#:     512     29.40  0.43  33.14  0.87  29.37  1.70  33.18  5.20
+#:     1,024   29.48  0.50  33.46  0.85  29.49  1.80  33.68  5.69
 _SLICE_ROWS = 1 << 8
 
 
@@ -588,9 +583,7 @@ def _run(
             raise DomainError(f"unknown measure {name!r}; known: {MEASURE_NAMES}")
     if workers is not None and not (isinstance(workers, int) and workers >= 1):
         raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
-    cap = grid_module.MAX_ROWS
-    if len(grid) > cap:
-        raise DomainError(f"grid has {len(grid)} rows, more than MAX_ROWS = {cap}")
+    grid_module._check_rows(len(grid))
     return SweepResult._of_columns(_evaluate(grid), selected, preset)
 
 
@@ -600,8 +593,9 @@ def run_preset(preset_id: str, workers: int | None = None) -> SweepResult:
     return _run(preset.grid, preset.measures, workers, preset.preset_id)
 
 
-def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
-    """Serialize a sweep result as CSV or JSON; returns bytes written.
+def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str] | IO[bytes]) -> int:
+    """Serialize a sweep result as CSV or JSON to ``sink``, a path, a text
+    stream or a binary stream; returns bytes written.
 
     CSV: fixed header, one line per row, '\\n' newlines, floats with 12
     significant digits.  JSON: the bytes of ``json.dumps(..., indent=1)`` of
@@ -613,7 +607,7 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str]) -> int:
     return _emit(result, fmt, sink, split=False)
 
 
-def _emit(result: SweepResult, fmt: str, sink: str | Path | IO[str], split: bool) -> int:
+def _emit(result: SweepResult, fmt: str, sink: str | Path | IO, split: bool) -> int:
     """``emit``; with ``split``, on Linux, a computed result of two or more
     chunks is rendered by two forked workers, and this process only merges
     their text.  The bytes written and the count returned are the same
@@ -629,39 +623,32 @@ def _emit(result: SweepResult, fmt: str, sink: str | Path | IO[str], split: bool
 
 def _document(result: SweepResult, fmt: str, records: Iterator[bytes]) -> Iterator[bytes]:
     """The document as UTF-8: the text before the records, the records'
-    slices, and the text after them.
+    slices, and the text after them; no slice is kept once handed on.
 
-    The head and the first slice of records are rendered, or read from the
-    first worker, here, before ``_to_sink`` opens a sink file, so a result
-    whose metadata or first rows cannot be rendered leaves the file as it was.
+    The head is made with the first slice, rendered or read from worker 0,
+    and ``_to_sink`` makes it before it opens a sink file, so a failure in
+    the metadata or the first rows leaves the file as it was.
     """
-    first = list(islice(records, 1))
+    first = next(records, None)
     head, tail = CSV_HEADER + "\n", ""
     if fmt == "json":
         head = json.dumps({"metadata": result.metadata, "records": []}, indent=1) + "\n"
-        if first:
+        if first is not None:
             # "records" is the last member, so its "[]" is the last one in the text.
             head, _, tail = head.rpartition("[]")
             head, tail = head + "[", "\n ]" + tail
             # The first record has no record before it to be separated from.
-            first[0] = first[0][1:]
-    return _records_from(head.encode("utf-8"), first, records, tail.encode("utf-8"))
-
-
-def _records_from(
-    head: bytes, first: list[bytes], rest: Iterator[bytes], tail: bytes
-) -> Iterator[bytes]:
-    """``head``, the slice in ``first``, if any, ``rest``, then ``tail``; no
-    slice is kept once handed on."""
-    yield head
-    if first:
-        yield first.pop()
-    yield from rest
-    yield tail
+            first = first[1:]
+    yield head.encode("utf-8")
+    if first is not None:
+        yield first
+        del first
+    yield from records
+    yield tail.encode("utf-8")
 
 
 def _emit_from_workers(
-    result: SweepResult, fmt: str, sink: str | Path | IO[str], form: _Format, columns: _Columns
+    result: SweepResult, fmt: str, sink: str | Path | IO, form: _Format, columns: _Columns
 ) -> int:
     """``_emit`` of ``columns`` rendered by two forked workers.
 
@@ -728,34 +715,30 @@ _PIPE_BYTES = 1 << 20
 def _render_worker(
     form: _Format, columns: _Columns, first: int, write_fd: int, inherited: list[IO[bytes]]
 ) -> NoReturn:
-    """A forked worker: send each slice of text of chunks ``first``,
-    ``first + 2``, ... of ``columns`` through ``write_fd`` as a frame, and
-    an empty frame at each chunk's end, or the message of the error that
-    stopped it.  ``inherited`` are the parent's read ends, which it closes."""
+    """A forked worker: ``_to_sink`` writes each slice of text of chunks
+    ``first``, ``first + 2``, ... of ``columns`` as a frame into ``write_fd``,
+    unbuffered, with an empty frame at each chunk's end, or the message of
+    the error that stopped it.  ``inherited`` are the parent's read ends."""
     status = 1
     try:
         for pipe in inherited:
             pipe.close()
-        out = open(write_fd, "wb")
+        out = open(write_fd, "wb", buffering=0)
         try:
-            for data in form.render(columns.chunks(first, 2)):
-                out.write(len(data).to_bytes(_FRAME_HEADER, "little", signed=True))
-                out.write(data)
-                if not data:
-                    # The parent waits for the end of a chunk before it
-                    # reads the next one: do not keep it in the buffer.
-                    out.flush()
-                # Keep no text while the next slice is made.
-                del data
+            # ``map`` holds no slice while the next one is made.
+            _to_sink(out, map(_framed, form.render(columns.chunks(first, 2))))
             status = 0
         except Exception as exc:
-            message = f"{type(exc).__name__}: {exc}".encode("utf-8")
-            out.write((-len(message)).to_bytes(_FRAME_HEADER, "little", signed=True) + message)
-        out.flush()
+            _to_sink(out, [_framed(f"{type(exc).__name__}: {exc}".encode("utf-8"), -1)])
     finally:
         # Never return into the caller's code: its ``finally`` blocks,
         # ``atexit`` handlers and open files belong to the parent.
         os._exit(status)
+
+
+def _framed(data: bytes, sign: int = 1) -> bytes:
+    """``data`` as a frame: text, or with ``sign`` -1 an error message."""
+    return (sign * len(data)).to_bytes(_FRAME_HEADER, "little", signed=True) + data
 
 
 def _frame(pipe: IO[bytes]) -> bytes:

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,43 @@ def test_sweep_grid_errors_name_their_axis(grid, named, capsys):
     assert captured.out == ""
     assert named in captured.err
     assert "time" not in captured.err
+
+
+#: 60,001 phi points at two times: 120,002 rows, each axis under a cap of
+#: 100,000 points and their product over it.
+OVERSIZE = ("--grid", "phi=0:3:0.00005", "--grid", "time=0:1:1")
+
+
+def test_an_oversize_grid_exits_1_before_an_axis_is_built(monkeypatch, capsys):
+    monkeypatch.setattr(grid_module, "MAX_ROWS", 100_000)
+    argv = ["sweep", "--channel", "lambda", "--mu", "0.8", "--tau", "0.1", *OVERSIZE]
+    # Once untraced, so that the engine's import and the caches of a first
+    # run are not counted.
+    assert cli.main(argv) == 1
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = "hyperspin: error: grid has 120002 rows, more than MAX_ROWS = 100000\n"
+    assert capsys.readouterr().err == message * 2
+    # Building the phi axis alone, 60,001 floats in a tuple, peaks at 2 MB.
+    assert peak < 200_000
+
+
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        (("--channel", "bogus", "--mu", "0.8", "--tau", "0.1"), "unknown channel"),
+        (("--channel", "lambda", "--mu", "0.8"), "missing tau"),
+        (("--channel", "lambda", "--phi", "1", "--mu", "0.8", "--tau", "0.1"), "phi given both"),
+    ],
+)
+def test_an_oversize_grid_keeps_usage_errors_first(monkeypatch, capsys, argv, named):
+    monkeypatch.setattr(grid_module, "MAX_ROWS", 100_000)
+    assert cli.main(["sweep", *argv, *OVERSIZE]) == 2
+    assert named in capsys.readouterr().err
 
 
 MEASURE_POINT = ("measure", "--channel", "lambda", "--phi", "1.2", "--mu", "0.5")

@@ -267,7 +267,7 @@ WRITERS = {
         # The merge's cases are named by the sink alone, as before emit joined.
         pytest.param(writer, kind, id=kind if writer == "merge" else f"{writer}-{kind}")
         for writer in WRITERS
-        for kind in ("short-writes", "text-only")
+        for kind in ("short-writes", "text-only", "binary-short-writes", "bytes-io")
     ],
 )
 def test_the_merge_writes_what_the_sink_takes(forks, fmt, writer, sink_kind):
@@ -279,6 +279,16 @@ def test_the_merge_writes_what_the_sink_takes(forks, fmt, writer, sink_kind):
         sink = _Recording()
         assert write(run_sweep(grid), fmt, sink) == want_bytes
         assert "".join(sink.writes) == want
+    elif sink_kind == "bytes-io":
+        sink = io.BytesIO()
+        assert write(run_sweep(grid), fmt, sink) == want_bytes
+        assert sink.getvalue() == want.encode("utf-8")
+    elif sink_kind == "binary-short-writes":
+        # The raw binary stream itself, written with no text layer above it.
+        sink = _ShortWrites(3000)
+        assert write(run_sweep(grid), fmt, sink) == want_bytes
+        assert bytes(sink.data) == want.encode("utf-8")
+        assert sink.calls > len(sink.data) // sink.limit
     else:
         raw = _ShortWrites(3000)
         sink = io.TextIOWrapper(raw, encoding="utf-8", newline="")

@@ -5,9 +5,11 @@ first read, and every name stays where it was: in ``hyperspin.__all__``, in
 has loaded the engine yet.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 #: The names of hyperspin's own that ``from hyperspin.sweep import ...``
 #: gave before the point types, the column table and ``point_row`` moved to
@@ -16,7 +18,12 @@ import sys
 #: ``_render_odd_chunks``, the child of the one-child render, is left out as
 #: well: ``_render_worker`` replaced it when two workers took over rendering.
 #: So are ``_write`` and ``_write_document``, the text and the byte writers
-#: that ``hyperspin.grid._to_sink`` replaced when every output became bytes.
+#: that ``hyperspin.grid._to_sink`` replaced when every output became bytes,
+#: and ``_records_from``, whose part ``_document`` took back when
+#: ``_to_sink`` began to make the first piece before it opens a path.
+#: ``_coherence_l1``, ``_discord``, ``_eof`` and ``_steering`` are left out
+#: too: the engine imported them but reads none of them since it runs
+#: ``_measure_values`` (see ``test_no_module_imports_a_name_it_never_reads``).
 SWEEP_NAMES = """
 COLUMNS COLUMN_NAMES CSV_HEADER ChannelConfig DensityMatrix4 DomainError
 FLOAT_FORMAT FigurePreset HyperspinError KERNEL_VARIANT MAX_ROWS MEASURE_NAMES
@@ -25,11 +32,11 @@ SweepGrid SweepResult SweepRow TimeGrid UnknownPresetError _CHUNK_ROWS _CSV
 _Columns _FORMATS _FRAME_HEADER _Format _HALF_PI _JSON _MEASURE_COLUMNS
 _MU_FULL _Ops _PHI_COMPARE _PHI_FULL _POINT_COLUMNS _ROW_FORMAT
 _SERIES_COLUMNS _STATE_FIELDS _T_MARKOV _T_NONMARKOV _anti_diagonal_bloch
-_bloch_outside _build_presets _chunk_values _coherence_l1 _concurrence
-_concurrence_outside _csv_fields _dephased _diagonal_bloch _discord _document
-_emit _eof _eta_outside _evaluate _frame _grid _in_context _interleaved
+_bloch_outside _build_presets _chunk_values _concurrence
+_concurrence_outside _csv_fields _dephased _diagonal_bloch _document
+_emit _eta_outside _evaluate _frame _grid _in_context _interleaved
 _json_fields _json_record _json_string _json_values _kernel_at _measure_chunk
-_pick _records_from _row_chunks _row_of _run _state_constants _steering
+_pick _row_chunks _row_of _run _state_constants
 _steering_bounds _surface_presets _survival
 channel_params check_range density_matrix dephase emit figure_preset
 measure_all memory_kernel point_row run_preset run_sweep
@@ -89,3 +96,32 @@ def test_engine_names_load_the_engine_on_first_read():
         "cap read from sweep": 12,
         "submodules": ["hyperspin.cli", "hyperspin.selfcheck"],
     }
+
+
+def _unread_imports(source):
+    """The names that ``source`` imports and never reads, ``from __future__``
+    imports apart."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # ``__init__`` imports to re-export; every other module imports to read.
+    package = Path(__file__).resolve().parent.parent / "src" / "hyperspin"
+    unread = {
+        path.name: _unread_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
+def test_the_unread_import_check_sees_one():
+    assert _unread_imports("import os\nfrom a.b import c, d as e\nprint(c)\n") == ["e", "os"]
