@@ -16,16 +16,18 @@ counts the spawning process's resident memory at the time of the spawn, so
 this script imports nothing beyond the standard library.  It peaks at about
 14.7 MB (Python 3.11, Linux x86-64), below every case: ``measure``, which
 loads no numpy, peaks at about 16 MB.  The JSON written holds, per case,
-the median, min and max of the wall seconds and of the peak RSS in MB, and
-``spawner_peak_rss_mb``, this script's own peak; a case whose peak is not
-above it is reported on stderr, as its figure may be the spawner's.
+the median, min and max of the wall seconds and of the peak RSS in MB, with
+two or more rounds also their first and third quartiles (``q1``, ``q3``),
+and ``spawner_peak_rss_mb``, this script's own peak; a case whose peak is
+not above it is reported on stderr, as its figure may be the spawner's.
 
 With ``--against``, each round runs every case once on this checkout's
 ``src`` and once on the other checkout's, the order of the two alternating
 from round to round, so a drift of the host's speed falls on both sides
 alike.  The script then prints, per case and side, the median wall seconds
-and peak RSS, and the number of rounds each side was the faster in and the
-smaller in; the JSON holds the same per side.  ``--out`` is optional then.
+and peak RSS with their quartiles in brackets, and the number of rounds
+each side was the faster in and the smaller in; the JSON holds the same per
+side.  ``--out`` is optional then.
 """
 
 from __future__ import annotations
@@ -73,11 +75,25 @@ def _run(argv: list[str], src: Path) -> tuple[float, float]:
 
 
 def _summary(values: list[float], digits: int) -> dict[str, float]:
-    return {
+    """Median, min and max of ``values`` and, from two values on, their first
+    and third quartiles, whose distance is the spread a gain must exceed."""
+    summary = {
         "median": round(statistics.median(values), digits),
         "min": round(min(values), digits),
         "max": round(max(values), digits),
     }
+    if len(values) >= 2:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        summary.update(q1=round(q1, digits), q3=round(q3, digits))
+    return summary
+
+
+def _text(summary: dict[str, float], spec: str) -> str:
+    """The median of ``summary`` and, when it has them, its quartiles."""
+    text = format(summary["median"], spec)
+    if "q1" in summary:
+        text += f" [{summary['q1']:{spec}}, {summary['q3']:{spec}}]"
+    return text
 
 
 def _case_report(runs: list[tuple[float, float]]) -> dict[str, dict[str, float]]:
@@ -148,9 +164,9 @@ def main() -> int:
     for case, by_side in samples.items():
         wall_wins, rss_wins = _wins(by_side, 0), _wins(by_side, 1)
         for side, runs in by_side.items():
-            wall = statistics.median(w for w, _ in runs)
-            rss = statistics.median(m for _, m in runs)
-            line = f"{case:10s} {wall:8.3f} s  {rss:7.2f} MB"
+            summary = _case_report(runs)
+            wall, rss = _text(summary["wall_s"], ".3f"), _text(summary["peak_rss_mb"], ".2f")
+            line = f"{case:10s} {wall:>8} s  {rss:>7} MB"
             if args.against is not None:
                 line = (
                     f"{line}  {side:8s} faster {wall_wins[side]}/{args.rounds}  "

@@ -3,7 +3,7 @@
 Runs fast versions of the standing oracle tests (closed forms against
 numeric re-derivations, channel closed form against the Kraus sum, kernel
 contract, CPTP bookkeeping, the measure hierarchy, the phi-boundary zeros,
-and the columnar sweep engine against the scalar single-point path) and
+and the columnar sweep engine against the scalar row of ``point_row``) and
 reports per-suite pass/fail counts.  The full-resolution
 versions live in the test suite; this module is for release-gate and
 field diagnostics.  The suites take no options; the test suite's negative
@@ -21,7 +21,6 @@ import numpy as np
 from .channel import (
     ChannelConfig,
     decoherence_factor,
-    dephase,
     evolve,
     flip_probability,
     joint_probabilities,
@@ -29,9 +28,10 @@ from .channel import (
     memory_kernel,
 )
 from .linalg import hermitian_eigenvalues
-from .measures import MeasureRecord, measure_all
+from .grid import SweepGrid, TimeGrid, point_row
+from .measures import measure_all
 from .production import CHANNELS, density_matrix, numeric_xstate_params, xstate_params
-from .sweep import SweepGrid, TimeGrid, run_sweep
+from .sweep import run_sweep
 
 HIERARCHY_EPS = 1e-12
 
@@ -215,29 +215,21 @@ def _suite_phi_boundary() -> SuiteResult:
     return suite
 
 
-def _float_bits(record: MeasureRecord) -> tuple[str, ...]:
-    s = record.steering
-    values = (s.s_ab, s.s_ba, s.delta_s, record.concurrence, record.eof, record.gqd,
-              record.coherence_l1, record.eta, record.kernel)  # fmt: skip
-    return tuple(float(x).hex() for x in values)
-
-
 def _suite_sweep_oracle() -> SuiteResult:
-    """Every row of a small sweep per channel, both regimes, equal bit for bit
-    (signed zeros included) to the scalar path at the same point."""
+    """Every row of a small sweep per channel, both regimes, equal in every
+    column to ``point_row`` of its one-point grid, the scalar row that
+    ``hyperspin measure`` prints: floats bit for bit, signed zeros included."""
     suite = SuiteResult("sweep-oracle")
     phis = (0.0, math.pi / 6.0, math.pi / 2.0, 2.0, math.pi)
     for ch in CHANNELS.values():
         grid = SweepGrid(ch.name, phis, (0.0, 0.6, 1.0), (0.1, 5.0), TimeGrid(0.0, 40.0, 0.8))
-        states = {phi: density_matrix(ch, phi) for phi in phis}
         for row in run_sweep(grid).rows:
-            cfg = ChannelConfig(mu=row.mu, tau=row.tau)
-            eta = decoherence_factor(row.time, cfg)
-            want = measure_all(dephase(states[row.phi], eta), eta, memory_kernel(row.time, cfg).k)
+            point = TimeGrid(row.time, row.time, 1.0)
+            want = point_row(SweepGrid(ch.name, (row.phi,), (row.mu,), (row.tau,), point))
             suite.check(
-                row.record == want and _float_bits(row.record) == _float_bits(want),
-                f"{ch.name} phi={row.phi:.4f} mu={row.mu} tau={row.tau} t={row.time}: "
-                f"{row.record} != {want}",
+                [v.hex() if isinstance(v, float) else v for v in row.values()]
+                == [v.hex() if isinstance(v, float) else v for v in want.values()],
+                f"{row.values()} != {want.values()}",
             )
     return suite
 

@@ -25,10 +25,10 @@ are rendered the same way, from one ``%`` template per column group.
 The grid types, the column table, ``MAX_ROWS`` and ``point_row``, the
 scalar row path that ``hyperspin measure`` prints and that also raises the
 engine's errors, live in ``hyperspin.grid``, so one point loads nothing of
-this module.  Names that moved there can still be read from here.  numpy
-is imported inside the functions that use it, so importing this module
-does not load it; ``hyperspin`` imports this module only when one of the
-engine's names (``run_sweep``, ``emit``, ``PRESETS``, ...) is first read.
+this module.  numpy is imported inside the functions that use it, so
+importing this module does not load it; ``hyperspin`` imports this module
+only when one of the engine's names (``run_sweep``, ``emit``, ``PRESETS``,
+...) is first read.
 
 The engine runs the scalar path's own formulas, measure sequence and
 domain checks: the predicates that ``dephase`` and ``measure_all`` run on
@@ -826,11 +826,3 @@ def figure_preset(preset_id: str) -> FigurePreset:
             f"unknown preset {preset_id!r}; known: {sorted(PRESETS)}"
         ) from None
 
-
-def __getattr__(name: str) -> Any:
-    """What moved to ``hyperspin.grid`` (``MAX_ROWS``, ``check_range``,
-    ``memory_kernel``, ...), read from there, so the value is the one in force."""
-    try:
-        return getattr(grid_module, name)
-    except AttributeError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import hyperspin.grid as grid_module
-import hyperspin.selfcheck as selfcheck_module
 import hyperspin.sweep as sweep_module
 from hyperspin import (
     DensityMatrix4,
@@ -658,13 +657,15 @@ def test_row_flagged_but_accepted_by_the_scalar_path_is_an_error(monkeypatch):
 
 
 def test_sweep_oracle_suite_passes_and_detects_a_mismatch(monkeypatch):
-    assert _suite_sweep_oracle().ok
-    real = selfcheck_module.measure_all
+    clean = _suite_sweep_oracle()
+    assert clean.ok and clean.passed == 6120  # every row of the four sweeps
+    real = grid_module.measure_all
 
     def skewed(rho, eta, kernel):
         return dataclasses.replace(real(rho, eta, kernel), gqd=0.5)
 
-    monkeypatch.setattr(selfcheck_module, "measure_all", skewed)
+    # The seam that ``point_row``, the suite's scalar side, reads.
+    monkeypatch.setattr(grid_module, "measure_all", skewed)
     suite = _suite_sweep_oracle()
     assert suite.passed == 0 and suite.failed > 0
 
