@@ -3,7 +3,8 @@
 Subcommands: ``params`` (channel constants), ``measure`` (one grid point),
 ``sweep`` (figure presets or explicit grids, CSV/JSON output), ``check``
 (embedded invariant suite).  Exit codes: 0 ok, 1 runtime or numeric
-failure, 2 usage, 3 self-check failure.
+failure, 2 usage, 3 self-check failure, 130 interrupted (SIGINT), 143
+terminated (SIGTERM during ``sweep``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_CHECK = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_TERMINATED = 143  # 128 + SIGTERM
 
 GRID_AXES = ("time", "phi", "mu", "tau")
 
@@ -164,7 +167,27 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM during ``sweep``, raised where SIGINT raises
+    ``KeyboardInterrupt``, so that the render workers are killed and reaped
+    on the same path."""
+
+
+def _terminate(signum: int, frame: object) -> NoReturn:
+    raise _Terminated
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import signal
+
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _sweep(args)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _sweep(args: argparse.Namespace) -> int:
     # The sweep engine loads here; the other commands never import it.
     from .sweep import _emit, run_preset, run_sweep
 
@@ -243,6 +266,10 @@ def entry() -> NoReturn:
     except SystemExit as exc:
         # argparse leaves this way after --help, --version or a usage error.
         code = exc.code
+    except KeyboardInterrupt as exc:
+        # SIGINT, or SIGTERM during ``sweep``; any render workers are reaped.
+        print("hyperspin: interrupted", file=sys.stderr)
+        code = EXIT_TERMINATED if isinstance(exc, _Terminated) else EXIT_INTERRUPTED
     try:
         sys.stdout.flush()
         sys.stderr.flush()

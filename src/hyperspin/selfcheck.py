@@ -4,11 +4,13 @@ Runs fast versions of the standing oracle tests (closed forms against
 numeric re-derivations, channel closed form against the Kraus sum, kernel
 contract, CPTP bookkeeping, the measure hierarchy, the phi-boundary zeros,
 and the columnar sweep engine against the scalar row of ``point_row``) and
-reports per-suite pass/fail counts.  The full-resolution
-versions live in the test suite; this module is for release-gate and
-field diagnostics.  The suites take no options; the test suite's negative
-control substitutes a wrong ``memory_kernel`` in this module and expects
-the check to fail.
+reports per-suite pass/fail counts.  The oracle suites read the scalar
+layers they check; the property suites (hierarchy, phi-boundary) read the
+engine rows of ``run_sweep``, the rows that ``hyperspin sweep`` renders.
+The full-resolution versions live in the test suite; this module is for
+release-gate and field diagnostics.  The suites take no options; the test
+suite's negative control substitutes a wrong ``memory_kernel`` in this
+module and expects the check to fail.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from .channel import (
     ChannelConfig,
-    decoherence_factor,
     evolve,
     flip_probability,
     joint_probabilities,
@@ -29,7 +30,6 @@ from .channel import (
 )
 from .linalg import hermitian_eigenvalues
 from .grid import SweepGrid, TimeGrid, point_row
-from .measures import measure_all
 from .production import CHANNELS, density_matrix, numeric_xstate_params, xstate_params
 from .sweep import run_sweep
 
@@ -167,50 +167,37 @@ def _suite_cptp() -> SuiteResult:
 
 def _suite_hierarchy() -> SuiteResult:
     suite = SuiteResult("hierarchy")
-    phis = [k * math.pi / 8.0 for k in range(9)]
+    phis = tuple(k * math.pi / 8.0 for k in range(9))
     for name in ("lambda", "sigma+"):
-        ch = CHANNELS[name]
-        for phi in phis:
-            rho0 = density_matrix(ch, phi)
-            for mu in (0.0, 0.6, 1.0):
-                for tau in (0.1, 5.0):
-                    cfg = ChannelConfig(mu=mu, tau=tau)
-                    for t in [k * 0.5 for k in range(21)]:
-                        eta = decoherence_factor(t, cfg)
-                        rec = measure_all(evolve(rho0, t, cfg), eta, memory_kernel(t, cfg).k)
-                        chain = (
-                            rec.steering.s_ab,
-                            rec.concurrence,
-                            rec.gqd,
-                            rec.coherence_l1,
-                        )
-                        ok = all(
-                            not (lo > HIERARCHY_EPS and hi <= HIERARCHY_EPS)
-                            for lo, hi in zip(chain, chain[1:])
-                        )
-                        suite.check(
-                            ok,
-                            f"{name} phi={phi:.3f} mu={mu} tau={tau} t={t}: {chain}",
-                        )
+        grid = SweepGrid(name, phis, (0.0, 0.6, 1.0), (0.1, 5.0), TimeGrid(0.0, 10.0, 0.5))
+        for row in run_sweep(grid).rows:
+            rec = row.record
+            chain = (rec.steering.s_ab, rec.concurrence, rec.gqd, rec.coherence_l1)
+            ok = all(
+                not (lo > HIERARCHY_EPS and hi <= HIERARCHY_EPS)
+                for lo, hi in zip(chain, chain[1:])
+            )
+            suite.check(
+                ok,
+                f"{name} phi={row.phi:.3f} mu={row.mu} tau={row.tau} t={row.time}: {chain}",
+            )
     return suite
 
 
 def _suite_phi_boundary() -> SuiteResult:
     suite = SuiteResult("phi-boundary")
-    for name, ch in CHANNELS.items():
-        for phi in (0.0, math.pi):
-            rho0 = density_matrix(ch, phi)
-            for mu, tau, t in ((0.0, 0.1, 0.7), (0.8, 5.0, 3.0)):
-                cfg = ChannelConfig(mu=mu, tau=tau)
-                eta = decoherence_factor(t, cfg)
-                rec = measure_all(evolve(rho0, t, cfg), eta, memory_kernel(t, cfg).k)
+    for name in CHANNELS:
+        for mu, tau, t in ((0.0, 0.1, 0.7), (0.8, 5.0, 3.0)):
+            grid = SweepGrid(name, (0.0, math.pi), (mu,), (tau,), TimeGrid(t, t, 1.0))
+            for row in run_sweep(grid).rows:
+                rec = row.record
                 zeroed = max(
                     rec.steering.s_ab, rec.steering.s_ba, rec.concurrence, rec.eof, rec.gqd
                 )
-                suite.check(zeroed < 1e-12, f"{name} phi={phi}: nonzero measure {zeroed}")
+                suite.check(zeroed < 1e-12, f"{name} phi={row.phi}: nonzero measure {zeroed}")
                 suite.check(
-                    abs(rec.coherence_l1 - eta) <= 1e-12,
-                    f"{name} phi={phi}: coherence {rec.coherence_l1} != eta {eta}",
+                    abs(rec.coherence_l1 - rec.eta) <= 1e-12,
+                    f"{name} phi={row.phi}: coherence {rec.coherence_l1} != eta {rec.eta}",
                 )
     return suite
 

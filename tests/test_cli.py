@@ -217,13 +217,26 @@ def test_sweep_unwritable_output_exits_1(tmp_path):
     assert proc.returncode == 1
 
 
+#: What each suite of ``hyperspin check`` passes, in the order it runs.
+CHECK_COUNTS = {
+    "production-oracle": 724,
+    "state-validity": 728,
+    "kernel-contract": 18,
+    "channel-oracle": 792,
+    "cptp": 60,
+    "hierarchy": 2268,
+    "phi-boundary": 32,
+    "sweep-oracle": 6120,
+}
+
+
 def test_check_passes():
     proc = run_cli("check")
     assert proc.returncode == 0
-    assert "self-check:" in proc.stdout
-    assert "failed 0" in proc.stdout
-    for suite in ("production-oracle", "kernel-contract", "hierarchy", "sweep-oracle"):
-        assert suite in proc.stdout
+    assert proc.stdout.splitlines() == [
+        *(f"{name}: passed {n}, failed 0 [ok]" for name, n in CHECK_COUNTS.items()),
+        "self-check: 10742 passed, 0 failed",
+    ]
 
 
 def test_check_corrupted_kernel_exits_3(monkeypatch, capsys):

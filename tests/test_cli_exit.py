@@ -11,8 +11,10 @@ import hashlib
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,3 +168,31 @@ def test_a_sweep_to_a_file_needs_no_stdout(tmp_path):
     proc = subprocess.run(_stdout_closed(argv), capture_output=True, env=BUFFERED, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == H1A_CSV
+
+
+@pytest.mark.parametrize(
+    "signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)], ids=["SIGINT", "SIGTERM"]
+)
+def test_an_interrupted_sweep_is_one_line_and_leaves_no_process(signum, code, tmp_path):
+    # The process and its two render workers, signalled as a group, as a
+    # terminal's Ctrl-C signals them, once the output has its first bytes.
+    out = tmp_path / "h2b.json"
+    argv = ["sweep", "--figure", "h2b", "--format", "json", "--out", str(out)]
+    proc = subprocess.Popen(
+        [*LAUNCHERS["python -m hyperspin"], *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=BUFFERED,
+        start_new_session=True,
+    )
+    deadline = time.monotonic() + 120
+    while not (out.exists() and out.stat().st_size > 0):
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.01)
+    os.killpg(proc.pid, signum)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == code
+    assert err == b"hyperspin: interrupted\n"
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
