@@ -23,7 +23,16 @@ from .errors import (
     UnknownChannelError,
     UnknownPresetError,
 )
-from .grid import CSV_HEADER, SweepGrid, TimeGrid, _check_rows, _to_sink, check_range, point_row
+from .grid import (
+    CSV_HEADER,
+    SweepGrid,
+    TimeGrid,
+    _check_rows,
+    _to_sink,
+    axis_values,
+    check_range,
+    point_row,
+)
 from .production import channel_params
 
 EXIT_OK = 0
@@ -136,8 +145,8 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> SweepGrid:
     _check_rows(math.prod(count for _, count in axes.values()))
     time = TimeGrid(*axes.pop("time")[0])
     values = {name: (float(value),) for name, value in scalars.items() if name not in axes}
-    for name, ((start, _, step), count) in axes.items():
-        values[name] = tuple(start + k * step for k in range(count))
+    for name, (bounds, _) in axes.items():
+        values[name] = tuple(axis_values(name, *bounds))
     return SweepGrid(args.channel, values["phi"], values["mu"], values["tau"], time)
 
 
@@ -188,16 +197,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _sweep(args: argparse.Namespace) -> int:
-    # The sweep engine loads here; the other commands never import it.
-    from .sweep import _emit, run_preset, run_sweep
-
     explicit = (args.grid, args.channel, args.phi, args.phi_deg, args.mu, args.tau)
     if args.figure and any(x not in (None, []) for x in explicit):
         raise GridSyntaxError("--figure and explicit grid flags are mutually exclusive")
-    if args.figure:
-        result = run_preset(args.figure)
-    else:
-        result = run_sweep(_sweep_grid_from_args(args))
+    grid = None if args.figure else _sweep_grid_from_args(args)
+    # The sweep engine, and with it numpy, loads here, once every flag but a
+    # preset id is checked; the other commands never import it.
+    from .sweep import _emit, run_preset, run_sweep
+
+    result = run_preset(args.figure) if args.figure else run_sweep(grid)
     sink = args.out if args.out else sys.stdout
     # Rendered by two forked workers where it can; the bytes are those of ``emit``.
     nbytes = _emit(result, args.format, sink, split=True)

@@ -101,6 +101,12 @@ def check_range(axis: str, start: float, stop: float, step: float) -> int:
     return int(math.floor(steps)) + 1
 
 
+def axis_values(axis: str, start: float, stop: float, step: float) -> list[float]:
+    """The points ``start + k * step`` of the named axis up to ``stop``: a
+    time grid's and a ``--grid`` axis's.  Raises as ``check_range``."""
+    return [start + k * step for k in range(check_range(axis, start, stop, step))]
+
+
 def _check_rows(rows: int) -> None:
     """Raise ``DomainError`` if a sweep of ``rows`` rows exceeds ``MAX_ROWS``."""
     if rows > MAX_ROWS:
@@ -124,7 +130,7 @@ class TimeGrid:
         return check_range("time", self.start, self.stop, self.step)
 
     def values(self) -> list[float]:
-        return [self.start + k * self.step for k in range(len(self))]
+        return axis_values("time", self.start, self.stop, self.step)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ are rendered the same way, from one ``%`` template per column group.
 The grid types, the column table, ``MAX_ROWS`` and ``point_row``, the
 scalar row path that ``hyperspin measure`` prints and that also raises the
 engine's errors, live in ``hyperspin.grid``, so one point loads nothing of
-this module.  numpy is imported inside the functions that use it, so
-importing this module does not load it; ``hyperspin`` imports this module
-only when one of the engine's names (``run_sweep``, ``emit``, ``PRESETS``,
-...) is first read.
+this module.  Importing this module loads numpy; ``hyperspin`` imports
+it only when one of the engine's names (``run_sweep``, ``emit``,
+``PRESETS``, ...) is first read, and ``hyperspin sweep`` only once every
+flag but a preset id is checked.
 
 The engine runs the scalar path's own formulas, measure sequence and
 domain checks: the predicates that ``dephase`` and ``measure_all`` run on
@@ -66,12 +66,12 @@ import functools
 import json
 import math
 import os
+import signal
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     IO,
-    TYPE_CHECKING,
     Any,
     Callable,
     Iterable,
@@ -79,6 +79,8 @@ from typing import (
     NoReturn,
     Sequence,
 )
+
+import numpy as np
 
 from . import grid as grid_module
 from ._version import __version__
@@ -112,9 +114,6 @@ from .measures import (
     _steering_bounds,
 )
 from .production import DensityMatrix4, channel_params
-
-if TYPE_CHECKING:
-    import numpy as np
 
 KERNEL_VARIANT = "telegraph-paired-cos-sin/cosh-sinh-u-over-v"
 
@@ -192,8 +191,6 @@ def _state_constants(states: Iterable[DensityMatrix4]) -> dict[str, np.ndarray]:
     and the diagonal Fano-Bloch components are fixed per phi; ``bloch_bad``
     flags a state whose fixed components already fail the Fano-Bloch check.
     """
-    import numpy as np
-
     entries = [
         (rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14.real, rho.rho23.real)
         for rho in states
@@ -237,8 +234,6 @@ def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> tuple[np.ndarr
     differs from it in the last ulp on some inputs).  The steering class is
     its code, an index into ``STEERING_CLASSES``.
     """
-    import numpy as np
-
     ops = _Ops(np.where, np.sqrt, lambda x: np.array(list(map(math.log2, x.tolist()))))
     w_abs, z_abs, conc, r11, r22, _ = _dephased(st, eta)
     bounds = (st["corner"], st["bias"], st["inner"])
@@ -250,8 +245,7 @@ def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> tuple[np.ndarr
 #: and one numpy array per measure column.  A chunk that covers the same
 #: points as the chunk before carries the very same point lists, so a
 #: renderer may reuse what it made of them.
-if TYPE_CHECKING:
-    _Chunk = tuple[list[Sequence], np.ndarray, list[Sequence], np.ndarray, list[np.ndarray]]
+_Chunk = tuple[list[Sequence], np.ndarray, list[Sequence], np.ndarray, list[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -279,8 +273,6 @@ class _Columns:
         """Per chunk of rows, from chunk ``start`` on in steps of ``stride``
         chunks: the row indices, and each row's ``(mu, tau, time)`` point
         index, state constants and eta."""
-        import numpy as np
-
         for first in range(start * _CHUNK_ROWS, len(self), stride * _CHUNK_ROWS):
             rows = np.arange(first, min(first + _CHUNK_ROWS, len(self)))
             i_state, i_point = np.divmod(rows, self.mu.size * self.kernel.size)
@@ -298,8 +290,6 @@ class _Columns:
     def chunks(self, start: int = 0, stride: int = 1) -> Iterator[_Chunk]:
         """The rows, with their measures evaluated, a chunk at a time: every
         ``stride``-th chunk from chunk ``start`` on."""
-        import numpy as np
-
         g = self.grid
         class_names = np.array([c.value for c in STEERING_CLASSES], dtype=object)
         n_tau = len(g.tau)
@@ -337,8 +327,6 @@ class _Columns:
     def _raise_at(self, row: int) -> NoReturn:
         """Raise the error of the scalar path at a row ``check`` flagged:
         ``point_row`` of the one-point grid at that row's coordinates."""
-        import numpy as np
-
         g = self.grid
         i_phi, i_mu, i_tau, i_time = np.unravel_index(
             row, (len(g.phi), len(g.mu), len(g.tau), self.times.size)
@@ -355,8 +343,6 @@ def _pick(values: Sequence[Any], index: np.ndarray) -> list:
 
 def _row_chunks(rows: Sequence[SweepRow]) -> Iterator[_Chunk]:
     """Explicit rows as chunks: every row is its own series and point."""
-    import numpy as np
-
     for start in range(0, len(rows), _CHUNK_ROWS):
         columns = list(zip(*(row.values() for row in rows[start : start + _CHUNK_ROWS])))
         each = np.arange(len(columns[0]))
@@ -406,8 +392,6 @@ class _Format:
     def _fill(
         self, template: str, columns: Sequence[tuple[str, type]], values: list
     ) -> np.ndarray:
-        import numpy as np
-
         filled = map(template.__mod__, zip(*self._converted(columns, values)))
         return np.array(list(filled), dtype=object)
 
@@ -459,8 +443,6 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     ``point_row`` to raise its error, extended by the row's coordinates; the
     first such row in grid order is the one reported.
     """
-    import numpy as np
-
     ch = channel_params(grid.channel)
     # One state at a time: only its constants are kept.  Looked up in
     # ``grid``, where ``point_row`` looks it up.
@@ -577,6 +559,8 @@ def _run(
     workers: int | None,
     preset: str | None,
 ) -> SweepResult:
+    if isinstance(measures, str):
+        raise DomainError(f"measures must be a sequence of names, got the string {measures!r}")
     selected = tuple(measures) if measures is not None else MEASURE_NAMES
     for name in selected:
         if name not in MEASURE_NAMES:
@@ -657,8 +641,8 @@ def _emit_from_workers(
     frames chunk by chunk, from the two pipes in turn, and writes them to
     the sink.  Any failure kills both workers; both are always reaped.
     """
+    # Unix-only, so imported here: ``emit`` must import on every platform.
     import fcntl
-    import signal
 
     # Nothing buffered for the output streams is copied into a worker.  A
     # stream is None where the process started with its descriptor closed.

@@ -634,6 +634,10 @@ for fmt in ("json", "csv"):
     steps["measure " + fmt] = loaded()
 assert main(["params", "--channel", "xi0"]) == 0
 steps["params"] = loaded()
+assert main(["sweep", "--grid", "phi=0:1", "--out", OUT]) == 2
+steps["sweep bad --grid"] = loaded()
+assert main(["sweep", "--figure", "m08", "--channel", "lambda", "--out", OUT]) == 2
+steps["sweep --figure with --channel"] = loaded()
 assert main(["sweep", "--figure", "m08", "--out", OUT]) == 0
 steps["sweep"] = loaded()
 print(json.dumps(steps))
@@ -659,5 +663,7 @@ def test_point_commands_leave_numpy_unloaded(tmp_path):
         "measure json": [],
         "measure csv": [],
         "params": [],
+        "sweep bad --grid": [],
+        "sweep --figure with --channel": [],
         "sweep": ["numpy", "hyperspin.sweep"],
     }

@@ -8,8 +8,10 @@ same ones the benchmark in ``perfbench/digests.json`` checks.
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import io
 import math
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from hyperspin import (
     run_preset,
     run_sweep,
 )
+from hyperspin.cli import _sweep_grid_from_args, build_parser
 
 GOLDEN = {
     ("h1a", "csv"): "9842e5a8aed04cdd23d9110bc178e45511d80f43617bb200fa9f84013a63d3cb",
@@ -103,12 +106,25 @@ def test_every_preset_csv_digest(preset):
     assert _grid_csv_sha256(figure_preset(preset).grid) == PRESET_CSV[preset]
 
 
+def _benchmark_argv(workload):
+    """The ``hyperspin`` argv of a sweep workload of ``perfbench/run.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SWEEPS[workload]["argv"]
+
+
 def test_phi_scan_digest():
     # The grid `sweep --channel xi- --grid phi=0:3.14159:0.0001 --mu 0.8
     # --tau 5 --grid time=2:2:1` builds: one row per phi.
     phis = tuple(TimeGrid(0.0, 3.14159, 0.0001).values())
     grid = SweepGrid("xi-", phis, (0.8,), (5.0,), TimeGrid(2.0, 2.0, 1.0))
     assert _sha256(run_sweep(grid), "csv") == PHI_SCAN_CSV
+    # The same grid as the CLI builds it from the benchmark's phi-scan argv.
+    argv = _benchmark_argv("phi-scan")
+    cli_grid = _sweep_grid_from_args(build_parser().parse_args(argv))
+    assert _sha256(run_sweep(cli_grid), "csv") == PHI_SCAN_CSV
 
 
 @pytest.mark.parametrize("fmt", sorted(EXPLICIT_ROWS))

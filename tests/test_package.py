@@ -2,14 +2,18 @@
 first read, and every name stays where it was: in ``hyperspin.__all__`` and
 in ``dir(hyperspin)``.  What moved to ``hyperspin.grid`` is read from there
 alone.  Each check runs in a fresh interpreter, where nothing has loaded
-the engine yet.
+the engine yet.  The package's source is read as text: no module imports a
+name it never reads, and the version has one source, ``hyperspin._version``.
 """
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 #: The names of hyperspin's own that ``from hyperspin.sweep import ...``
 #: gave before the point types, the column table and ``point_row`` moved to
@@ -133,7 +137,7 @@ def _unread_imports(source):
 
 def test_no_module_imports_a_name_it_never_reads():
     # ``__init__`` imports to re-export; every other module imports to read.
-    package = Path(__file__).resolve().parent.parent / "src" / "hyperspin"
+    package = ROOT / "src" / "hyperspin"
     unread = {
         path.name: _unread_imports(path.read_text(encoding="utf-8"))
         for path in sorted(package.glob("*.py"))
@@ -144,3 +148,21 @@ def test_no_module_imports_a_name_it_never_reads():
 
 def test_the_unread_import_check_sees_one():
     assert _unread_imports("import os\nfrom a.b import c, d as e\nprint(c)\n") == ["e", "os"]
+
+
+def _toml_table(text, name):
+    """The body of the ``[name]`` table of a TOML file, up to the next table."""
+    match = re.search(rf"^\[{re.escape(name)}\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert match, name
+    return match.group(1)
+
+
+def test_the_version_has_one_source():
+    # The package metadata reads ``hyperspin._version.__version__``, which
+    # ``--version`` prints, and holds no version of its own.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = _toml_table(text, "project")
+    assert re.search(r'^dynamic = \["version"\]$', project, re.M)
+    assert not re.search(r"^version\s*=", project, re.M)
+    dynamic = _toml_table(text, "tool.setuptools.dynamic")
+    assert re.search(r'^version = \{attr = "hyperspin\._version\.__version__"\}$', dynamic, re.M)

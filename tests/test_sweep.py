@@ -115,6 +115,9 @@ def test_run_sweep_phi_boundary_zero_columns():
 def test_run_sweep_rejects_unknown_measure():
     with pytest.raises(DomainError):
         run_sweep(small_grid(), measures=("entropy",))
+    # A string is one name, not a sequence of them, however it iterates.
+    with pytest.raises(DomainError, match="measures must be a sequence of names.*'eof'"):
+        run_sweep(small_grid(), measures="eof")
 
 
 def test_parallel_equivalence():
