@@ -122,21 +122,23 @@ __all__ = [
     "xstate_params",
 ]
 
-#: Names read from the sweep engine, ``hyperspin.sweep``, which is imported
-#: on first read, so ``import hyperspin`` and one point load none of it.
-_ENGINE_NAMES = frozenset(
-    ("PRESETS", "FigurePreset", "SweepResult", "emit", "figure_preset", "run_preset", "run_sweep")
-)
+#: Each name's module, imported on the name's first read: the figure presets,
+#: which load no numpy, and the sweep engine, which does.  So ``import
+#: hyperspin`` and one point load neither.
+_LAZY_NAMES = {
+    **dict.fromkeys(("PRESETS", "FigurePreset", "figure_preset"), ".presets"),
+    **dict.fromkeys(("SweepResult", "emit", "run_preset", "run_sweep"), ".sweep"),
+}
 
 
 def __getattr__(name: str) -> object:
-    if name not in _ENGINE_NAMES:
+    if name not in _LAZY_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import sweep
+    from importlib import import_module
 
-    value = globals()[name] = getattr(sweep, name)
+    value = globals()[name] = getattr(import_module(_LAZY_NAMES[name], __name__), name)
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_ENGINE_NAMES})
+    return sorted({*globals(), *_LAZY_NAMES})

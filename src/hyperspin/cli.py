@@ -172,7 +172,7 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         payload = json.dumps(row.as_dict()) + "\n"
     else:
         payload = CSV_HEADER + "\n" + row.csv_line() + "\n"
-    _to_sink(args.out or sys.stdout, [payload.encode("utf-8")])
+    _to_sink(sys.stdout if args.out is None else args.out, [payload.encode("utf-8")])
     return EXIT_OK
 
 
@@ -197,19 +197,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _sweep(args: argparse.Namespace) -> int:
+    # Tested for None: ``--figure ""`` is an id and ``--out ""`` a path.
+    figure = args.figure is not None
     explicit = (args.grid, args.channel, args.phi, args.phi_deg, args.mu, args.tau)
-    if args.figure and any(x not in (None, []) for x in explicit):
+    if figure and any(x not in (None, []) for x in explicit):
         raise GridSyntaxError("--figure and explicit grid flags are mutually exclusive")
-    grid = None if args.figure else _sweep_grid_from_args(args)
-    # The sweep engine, and with it numpy, loads here, once every flag but a
-    # preset id is checked; the other commands never import it.
+    if figure:
+        # The registry loads no numpy, so an unknown id fails before the engine loads.
+        from .presets import figure_preset
+
+        figure_preset(args.figure)
+    grid = None if figure else _sweep_grid_from_args(args)
+    # The sweep engine, and with it numpy, loads here, once every flag is
+    # checked; the other commands never import it.
     from .sweep import _emit, run_preset, run_sweep
 
-    result = run_preset(args.figure) if args.figure else run_sweep(grid)
-    sink = args.out if args.out else sys.stdout
+    result = run_preset(args.figure) if figure else run_sweep(grid)
+    sink = sys.stdout if args.out is None else args.out
     # Rendered by two forked workers where it can; the bytes are those of ``emit``.
     nbytes = _emit(result, args.format, sink, split=True)
-    target = args.out if args.out else "<stdout>"
+    target = "<stdout>" if args.out is None else args.out
     print(
         f"wrote {len(result)} records ({nbytes} bytes, {args.format}) to {target}",
         file=sys.stderr,

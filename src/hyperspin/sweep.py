@@ -25,10 +25,11 @@ are rendered the same way, from one ``%`` template per column group.
 The grid types, the column table, ``MAX_ROWS`` and ``point_row``, the
 scalar row path that ``hyperspin measure`` prints and that also raises the
 engine's errors, live in ``hyperspin.grid``, so one point loads nothing of
-this module.  Importing this module loads numpy; ``hyperspin`` imports
-it only when one of the engine's names (``run_sweep``, ``emit``,
-``PRESETS``, ...) is first read, and ``hyperspin sweep`` only once every
-flag but a preset id is checked.
+this module; the figure presets live in ``hyperspin.presets``, which
+``run_preset`` reads.  Importing this module loads numpy; ``hyperspin``
+imports it only when one of the engine's names (``run_sweep``,
+``run_preset``, ``emit``, ``SweepResult``) is first read, and ``hyperspin
+sweep`` only once every flag, the preset id included, is checked.
 
 The engine runs the scalar path's own formulas, measure sequence and
 domain checks: the predicates that ``dephase`` and ``measure_all`` run on
@@ -85,7 +86,7 @@ import numpy as np
 from . import grid as grid_module
 from ._version import __version__
 from .channel import ChannelConfig, _eta_outside, _survival
-from .errors import DomainError, HyperspinError, UnknownPresetError
+from .errors import DomainError, HyperspinError
 from .grid import (
     COLUMN_NAMES,
     COLUMNS,
@@ -114,6 +115,7 @@ from .measures import (
     _steering_bounds,
 )
 from .production import DensityMatrix4, channel_params
+from .presets import MEASURE_NAMES, figure_preset
 
 KERNEL_VARIANT = "telegraph-paired-cos-sin/cosh-sinh-u-over-v"
 
@@ -129,8 +131,6 @@ def _json_fields(columns: Sequence[tuple[str, type]]) -> str:
     of the ``records`` array, each value a ``%s`` for its JSON rendering."""
     return "".join(f"\n   {json.dumps(name)}: %s," for name, _ in columns)
 
-
-MEASURE_NAMES = ("steering", "eof", "gqd", "coherence_l1")
 
 #: Rows evaluated per chunk, the numpy batch: a chunk's measure columns are
 #: held while its slices are rendered, and its series and point strings are
@@ -526,15 +526,6 @@ class SweepResult:
         return _row_chunks(self._rows)
 
 
-@dataclass(frozen=True)
-class FigurePreset:
-    """Named grid reproducing one figure panel's data."""
-
-    preset_id: str
-    grid: SweepGrid
-    measures: tuple[str, ...]
-
-
 def run_sweep(
     grid: SweepGrid,
     measures: Sequence[str] | None = None,
@@ -561,7 +552,10 @@ def _run(
 ) -> SweepResult:
     if isinstance(measures, str):
         raise DomainError(f"measures must be a sequence of names, got the string {measures!r}")
-    selected = tuple(measures) if measures is not None else MEASURE_NAMES
+    try:
+        selected = tuple(measures) if measures is not None else MEASURE_NAMES
+    except TypeError:
+        raise DomainError(f"measures must be a sequence of names, got {measures!r}") from None
     for name in selected:
         if name not in MEASURE_NAMES:
             raise DomainError(f"unknown measure {name!r}; known: {MEASURE_NAMES}")
@@ -596,9 +590,10 @@ def _emit(result: SweepResult, fmt: str, sink: str | Path | IO, split: bool) -> 
     chunks is rendered by two forked workers, and this process only merges
     their text.  The bytes written and the count returned are the same
     either way."""
-    form = _FORMATS.get(fmt)
-    if form is None:
-        raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}")
+    try:
+        form = _FORMATS[fmt]
+    except (KeyError, TypeError):
+        raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}") from None
     columns = result._columns
     if split and sys.platform == "linux" and columns is not None and len(columns) > _CHUNK_ROWS:
         return _emit_from_workers(result, fmt, sink, form, columns)
@@ -742,71 +737,3 @@ def _interleaved(pipes: Sequence[IO[bytes]], n_chunks: int) -> Iterator[bytes]:
     ``pipes[c % 2]`` up to its empty frame, which is not handed on."""
     for chunk in range(n_chunks):
         yield from iter(functools.partial(_frame, pipes[chunk % 2]), b"")
-
-
-_PHI_FULL = tuple(k * math.pi / 180.0 for k in range(181))
-_MU_FULL = tuple(k / 100.0 for k in range(101))
-_PHI_COMPARE = (math.pi / 6.0, math.pi / 4.0, math.pi / 3.0, math.pi / 2.0)
-_HALF_PI = math.pi / 2.0
-_T_MARKOV = TimeGrid(0.0, 5.0, 0.01)
-_T_NONMARKOV = TimeGrid(0.0, 50.0, 0.01)
-
-
-def _grid(
-    phi: tuple[float, ...], mu: tuple[float, ...], tau: float, time: TimeGrid
-) -> SweepGrid:
-    return SweepGrid("lambda", phi, mu, (tau,), time)
-
-
-def _surface_presets(prefix: str, measures: tuple[str, ...]) -> dict[str, FigurePreset]:
-    """The common panel pair: (a) phi sweep at mu=0.8, (b) mu sweep at phi=pi/2."""
-    out = {}
-    for digit, tau, tgrid in (("1", 0.1, _T_MARKOV), ("2", 5.0, _T_NONMARKOV)):
-        pid_a = f"{prefix}{digit}a"
-        pid_b = f"{prefix}{digit}b"
-        out[pid_a] = FigurePreset(pid_a, _grid(_PHI_FULL, (0.8,), tau, tgrid), measures)
-        out[pid_b] = FigurePreset(pid_b, _grid((_HALF_PI,), _MU_FULL, tau, tgrid), measures)
-    return out
-
-
-def _build_presets() -> dict[str, FigurePreset]:
-    presets: dict[str, FigurePreset] = {}
-    presets.update(_surface_presets("h", ("steering",)))
-    presets.update(_surface_presets("e", ("eof",)))
-    presets.update(_surface_presets("d", ("gqd",)))
-    presets.update(_surface_presets("c", ("coherence_l1",)))
-    # Direction-comparison panels: a handful of phi values per panel.
-    for digit, tau, tgrid in (("1", 0.1, _T_MARKOV), ("2", 5.0, _T_NONMARKOV)):
-        for suffix, mu in (("a", 0.6), ("b", 0.8)):
-            pid = f"sc{digit}{suffix}"
-            presets[pid] = FigurePreset(
-                pid, _grid(_PHI_COMPARE, (mu,), tau, tgrid), ("steering",)
-            )
-    # Four-measure comparison at phi = pi/2 for a ladder of mu values.
-    for prefix, tau, tgrid in (("m", 0.1, _T_MARKOV), ("nm", 5.0, _T_NONMARKOV)):
-        for suffix, mu in (("0", 0.0), ("06", 0.6), ("08", 0.8), ("1", 1.0)):
-            pid = f"{prefix}{suffix}"
-            presets[pid] = FigurePreset(
-                pid, _grid((_HALF_PI,), (mu,), tau, tgrid), MEASURE_NAMES
-            )
-    return presets
-
-
-PRESETS: dict[str, FigurePreset] = _build_presets()
-
-
-def figure_preset(preset_id: str) -> FigurePreset:
-    """Look up a registered figure preset.
-
-    Raises
-    ------
-    UnknownPresetError
-        For ids outside the registry.
-    """
-    try:
-        return PRESETS[preset_id]
-    except KeyError:
-        raise UnknownPresetError(
-            f"unknown preset {preset_id!r}; known: {sorted(PRESETS)}"
-        ) from None
-

@@ -159,6 +159,10 @@ def test_sweep_explicit_grid_rows():
 def test_sweep_unknown_preset_exits_2():
     proc = run_cli("sweep", "--figure", "nope")
     assert proc.returncode == 2
+    # An empty id is an id, not an absent flag.
+    proc = run_cli("sweep", "--figure", "")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("hyperspin: error: unknown preset ''; known: [")
 
 
 def test_sweep_malformed_grid_exits_2():
@@ -188,6 +192,12 @@ def test_sweep_conflicting_scalar_and_axis_exits_2():
 def test_sweep_figure_conflicts_with_grid_flags():
     proc = run_cli("sweep", "--figure", "m08", "--channel", "lambda")
     assert proc.returncode == 2
+    proc = run_cli(
+        "sweep", "--figure", "", "--channel", "lambda", "--grid", "time=0:1:1",
+        "--phi", "1", "--mu", "0", "--tau", "1",
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "hyperspin: error: --figure and explicit grid flags are mutually exclusive\n"
 
 
 def test_sweep_grid_axis_for_phi():
@@ -215,6 +225,19 @@ def test_sweep_unwritable_output_exits_1(tmp_path):
         "--out", str(tmp_path / "missing" / "out.csv"),
     )
     assert proc.returncode == 1
+    # An empty path is a path, not standard output.
+    proc = run_cli("sweep", "--figure", "m08", "--out", "")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("hyperspin: i/o error: ")
+
+
+def test_measure_to_an_empty_path_exits_1():
+    proc = run_cli(
+        "measure", "--channel", "lambda", "--phi", "1", "--mu", "0",
+        "--tau", "1", "--time", "0", "--out", "",
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("hyperspin: i/o error: ")
 
 
 #: What each suite of ``hyperspin check`` passes, in the order it runs.
@@ -611,14 +634,15 @@ def test_measure_fails_as_run_sweep_does(monkeypatch, argv, layers, fmt):
     assert (code, out, err) == want
 
 
-#: Run in a fresh interpreter: each step, then which of numpy and the sweep
-#: engine are loaded.
+#: Run in a fresh interpreter: each step, then which of numpy, the sweep
+#: engine and the figure registry are loaded.
 NUMPY_PROBE = """\
 import json
 import sys
 steps = {}
 def loaded():
-    return [name for name in ("numpy", "hyperspin.sweep") if name in sys.modules]
+    names = ("numpy", "hyperspin.sweep", "hyperspin.presets")
+    return [name for name in names if name in sys.modules]
 import hyperspin
 steps["import"] = loaded()
 exec(compile(QUICK_TOUR, "README", "exec"), {})
@@ -638,6 +662,10 @@ assert main(["sweep", "--grid", "phi=0:1", "--out", OUT]) == 2
 steps["sweep bad --grid"] = loaded()
 assert main(["sweep", "--figure", "m08", "--channel", "lambda", "--out", OUT]) == 2
 steps["sweep --figure with --channel"] = loaded()
+assert main(["sweep", "--figure", "zz9", "--out", OUT]) == 2
+steps["sweep --figure zz9"] = loaded()
+assert main(["sweep", "--figure", "", "--out", OUT]) == 2
+steps["sweep --figure ''"] = loaded()
 assert main(["sweep", "--figure", "m08", "--out", OUT]) == 0
 steps["sweep"] = loaded()
 print(json.dumps(steps))
@@ -665,5 +693,7 @@ def test_point_commands_leave_numpy_unloaded(tmp_path):
         "params": [],
         "sweep bad --grid": [],
         "sweep --figure with --channel": [],
-        "sweep": ["numpy", "hyperspin.sweep"],
+        "sweep --figure zz9": ["hyperspin.presets"],
+        "sweep --figure ''": ["hyperspin.presets"],
+        "sweep": ["numpy", "hyperspin.sweep", "hyperspin.presets"],
     }

@@ -1,9 +1,11 @@
 """``import hyperspin`` loads the sweep engine only when one of its names is
-first read, and every name stays where it was: in ``hyperspin.__all__`` and
-in ``dir(hyperspin)``.  What moved to ``hyperspin.grid`` is read from there
-alone.  Each check runs in a fresh interpreter, where nothing has loaded
-the engine yet.  The package's source is read as text: no module imports a
-name it never reads, and the version has one source, ``hyperspin._version``.
+first read, and the figure registry, ``hyperspin.presets``, only when one
+of its names is, and without the engine.  Every name stays where it was: in
+``hyperspin.__all__`` and in ``dir(hyperspin)``.  What moved to
+``hyperspin.grid`` or ``hyperspin.presets`` is read from there alone.  Each
+check runs in a fresh interpreter, where nothing has loaded the engine yet.
+The package's source is read as text: no module imports a name it never
+reads, and the version has one source, ``hyperspin._version``.
 """
 
 import ast
@@ -33,21 +35,23 @@ ROOT = Path(__file__).resolve().parent.parent
 #: ``_in_context`` and ``_json_record`` are left out as well (``FORWARDED``):
 #: they live in ``hyperspin.grid``, where the engine reads them, and a
 #: forwarder that served them here let ``hyperspin.sweep.MAX_ROWS = 10``
-#: bind a cap that nothing honoured.
+#: bind a cap that nothing honoured.  The figure registry is left out too
+#: (``MOVED``): it lives in ``hyperspin.presets``, which loads no numpy, and
+#: the engine imports only ``MEASURE_NAMES`` and ``figure_preset`` from it.
 SWEEP_NAMES = """
 COLUMNS COLUMN_NAMES CSV_HEADER ChannelConfig DensityMatrix4 DomainError
-FLOAT_FORMAT FigurePreset HyperspinError KERNEL_VARIANT MEASURE_NAMES
-MeasureRecord PRESETS STEERING_CLASSES SteeringClass SteeringResult
-SweepGrid SweepResult SweepRow TimeGrid UnknownPresetError _CHUNK_ROWS _CSV
-_Columns _FORMATS _FRAME_HEADER _Format _HALF_PI _JSON _MEASURE_COLUMNS
-_MU_FULL _Ops _PHI_COMPARE _PHI_FULL _POINT_COLUMNS
-_SERIES_COLUMNS _STATE_FIELDS _T_MARKOV _T_NONMARKOV _anti_diagonal_bloch
-_bloch_outside _build_presets _chunk_values _concurrence
+FLOAT_FORMAT HyperspinError KERNEL_VARIANT MEASURE_NAMES
+MeasureRecord STEERING_CLASSES SteeringClass SteeringResult
+SweepGrid SweepResult SweepRow TimeGrid _CHUNK_ROWS _CSV
+_Columns _FORMATS _FRAME_HEADER _Format _JSON _MEASURE_COLUMNS
+_Ops _POINT_COLUMNS
+_SERIES_COLUMNS _STATE_FIELDS _anti_diagonal_bloch
+_bloch_outside _chunk_values _concurrence
 _concurrence_outside _csv_fields _dephased _diagonal_bloch _document
-_emit _eta_outside _evaluate _frame _grid _interleaved
+_emit _eta_outside _evaluate _frame _interleaved
 _json_fields _json_string _json_values _kernel_at _measure_chunk
 _pick _row_chunks _row_of _run _state_constants
-_steering_bounds _surface_presets _survival
+_steering_bounds _survival
 channel_params emit figure_preset
 point_row run_preset run_sweep
 """.split()
@@ -59,15 +63,33 @@ MAX_ROWS PHI_ATOL check_range memory_kernel density_matrix dephase measure_all
 _ROW_FORMAT _in_context _json_record
 """.split()
 
+#: The names that ``hyperspin.sweep`` defined or imported for the figure
+#: registry, and that ``hyperspin.presets`` now holds alone.
+MOVED = """
+FigurePreset PRESETS UnknownPresetError _HALF_PI _MU_FULL _PHI_COMPARE
+_PHI_FULL _T_MARKOV _T_NONMARKOV _build_presets _grid _surface_presets
+""".split()
+
 PROBE = """\
 import json
 import sys
 report = {}
 import hyperspin
 report["engine after import"] = "hyperspin.sweep" in sys.modules
+report["registry after import"] = "hyperspin.presets" in sys.modules
 report["not in dir"] = sorted(set(hyperspin.__all__) - set(dir(hyperspin)))
 report["unknown name"] = hasattr(hyperspin, "no_such_name")
 report["engine after dir"] = "hyperspin.sweep" in sys.modules
+registry = (hyperspin.PRESETS, hyperspin.FigurePreset, hyperspin.figure_preset)
+report["after the registry"] = [
+    name for name in ("numpy", "hyperspin.sweep", "hyperspin.presets") if name in sys.modules
+]
+import hyperspin.presets as presets
+report["not the registry's"] = [
+    name for name, value in zip(("PRESETS", "FigurePreset", "figure_preset"), registry)
+    if value is not getattr(presets, name)
+]
+report["not in presets"] = [name for name in MOVED if not hasattr(presets, name)]
 namespace = {}
 exec("from hyperspin import *", namespace)
 report["not starred"] = sorted(set(hyperspin.__all__) - set(namespace))
@@ -85,6 +107,7 @@ namespace = {}
 exec("from hyperspin.sweep import " + ", ".join(SWEEP_NAMES), namespace)
 report["not imported"] = [name for name in SWEEP_NAMES if name not in namespace]
 report["forwarded"] = [name for name in FORWARDED if hasattr(sweep, name)]
+report["moved"] = [name for name in MOVED if hasattr(sweep, name)]
 import hyperspin.grid as grid
 grid.MAX_ROWS = 12
 try:
@@ -99,16 +122,20 @@ print(json.dumps(report))
 
 
 def test_engine_names_load_the_engine_on_first_read():
-    header = f"SWEEP_NAMES = {SWEEP_NAMES!r}\nFORWARDED = {FORWARDED!r}\n"
+    header = f"SWEEP_NAMES = {SWEEP_NAMES!r}\nFORWARDED = {FORWARDED!r}\nMOVED = {MOVED!r}\n"
     proc = subprocess.run(
         [sys.executable, "-c", header + PROBE], capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "engine after import": False,
+        "registry after import": False,
         "not in dir": [],
         "unknown name": False,
         "engine after dir": False,
+        "after the registry": ["hyperspin.presets"],
+        "not the registry's": [],
+        "not in presets": [],
         "not starred": [],
         "starred apart": [],
         "not the engine's": [],
@@ -116,6 +143,7 @@ def test_engine_names_load_the_engine_on_first_read():
         "unknown in sweep": False,
         "not imported": [],
         "forwarded": [],
+        "moved": [],
         "cap honoured": True,
         "submodules": ["hyperspin.cli", "hyperspin.selfcheck"],
     }

@@ -22,7 +22,7 @@ from hyperspin import (
     xstate_params,
 )
 from hyperspin.production import DensityMatrix4
-from hyperspin.sweep import _PHI_FULL
+from hyperspin.presets import _PHI_FULL
 
 HALF_PI = math.pi / 2.0
 PHI_GRID = [k * math.pi / 200.0 for k in range(201)]

@@ -118,6 +118,8 @@ def test_run_sweep_rejects_unknown_measure():
     # A string is one name, not a sequence of them, however it iterates.
     with pytest.raises(DomainError, match="measures must be a sequence of names.*'eof'"):
         run_sweep(small_grid(), measures="eof")
+    with pytest.raises(DomainError, match="measures must be a sequence of names, got 5"):
+        run_sweep(small_grid(), measures=5)
 
 
 def test_parallel_equivalence():
@@ -170,6 +172,11 @@ def test_preset_measure_selectors():
 def test_unknown_preset():
     with pytest.raises(UnknownPresetError):
         figure_preset("zz9")
+    # An unhashable id is unknown too, not a TypeError of the registry's dict.
+    with pytest.raises(UnknownPresetError, match=r"unknown preset \['h1a'\]"):
+        figure_preset(["h1a"])
+    with pytest.raises(UnknownPresetError, match=r"unknown preset \{\}"):
+        run_preset({})
 
 
 def test_emit_csv_header_and_rows():
@@ -197,6 +204,8 @@ def test_emit_empty_result():
 def test_emit_rejects_unknown_format():
     with pytest.raises(DomainError):
         emit(SweepResult([], {}), "xml", io.StringIO())
+    with pytest.raises(DomainError, match=r"format must be 'csv' or 'json', got \['csv'\]"):
+        emit(SweepResult([], {}), ["csv"], io.StringIO())
 
 
 def test_float_rendering():
