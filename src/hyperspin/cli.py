@@ -129,7 +129,8 @@ def _sweep_grid_from_args(args: argparse.Namespace) -> SweepGrid:
         axes[name] = bounds, count
     if "time" not in axes:
         raise GridSyntaxError("sweep needs a time axis: --grid time=START:STOP:STEP")
-    if not args.channel:
+    # Tested for None, as ``--figure`` is: ``--channel ""`` is an unknown channel.
+    if args.channel is None:
         raise GridSyntaxError("sweep needs --channel")
 
     scalars = {"phi": _resolve_phi(args), "mu": args.mu, "tau": args.tau}

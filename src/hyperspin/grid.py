@@ -69,14 +69,14 @@ _ROW_FORMAT = _csv_fields(COLUMNS)
 #: Most points one axis may have and most rows one sweep may have, checked
 #: before anything is allocated: about 20x the largest preset (h2b, 505,101
 #: rows).  It bounds rows, not memory, whose cost per row depends on the
-#: axis.  A sweep keeps 8 bytes per time and 8 bytes of kernel per ``(tau,
-#: time)`` pair, each built straight into its array, and evaluates eta and
-#: the measures a chunk of rows at a time.  Per phi it keeps the grid's
-#: float and the state constants, which it builds through a Python tuple per
-#: state: one-time CSV sweeps peaked (``wait4`` RSS) at 69.9 MB with 100,001
-#: phis and at 190.3 MB with 400,001, about 0.4 KB per phi (Python 3.11,
-#: numpy 2.4, x86-64 Linux).  Change it by assigning
-#: ``hyperspin.grid.MAX_ROWS``.
+#: axis.  A sweep keeps 8 bytes per time, 8 bytes of kernel per ``(tau,
+#: time)`` pair and the state's six X entries, 48 bytes, per phi, each built
+#: straight into its array, and evaluates eta and the measures a chunk of
+#: rows at a time.  The grid's phi tuple adds 32 bytes per phi, a float and
+#: its slot, and the CLI's axis list 8 more: one-time CSV sweeps peaked
+#: (``wait4`` RSS) at 37.8 MiB with 100,001 phis and at 63.0 MiB with
+#: 400,001, about 88 bytes per phi (Python 3.11, numpy 2.4, x86-64 Linux).
+#: Change it by assigning ``hyperspin.grid.MAX_ROWS``.
 MAX_ROWS = 10_000_000
 
 
@@ -87,11 +87,15 @@ def check_range(axis: str, start: float, stop: float, step: float) -> int:
     Raises
     ------
     DomainError
-        If a bound is not finite, ``step <= 0`` or ``stop < start``; the
-        message names ``axis``.
+        If a bound is not a real number or not finite, ``step <= 0`` or
+        ``stop < start``; the message names ``axis``.
     """
     for name, value in (("start", start), ("stop", stop), ("step", step)):
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            raise DomainError(f"{axis} {name} must be a real number, got {value!r}") from None
+        if not finite:
             raise DomainError(f"{axis} {name} must be finite, got {value}")
     if step <= 0.0:
         raise DomainError(f"{axis} step must be > 0, got {step}")
@@ -138,6 +142,15 @@ class TimeGrid:
         return axis_values("time", self.start, self.stop, self.step)
 
 
+#: The list axes of a ``SweepGrid``: each one's name, whether a value lies
+#: in its domain, and what a value outside it is.
+_AXIS_DOMAINS = (
+    ("phi", lambda p: -PHI_ATOL <= p <= math.pi + PHI_ATOL, "outside [0, pi]"),
+    ("mu", lambda m: 0.0 <= m <= 1.0, "outside [0, 1]"),
+    ("tau", lambda t: 0.0 < t < math.inf, "must be finite and > 0"),
+)
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """One channel swept over lists of phi, mu, tau and a time progression."""
@@ -150,18 +163,26 @@ class SweepGrid:
 
     def __post_init__(self) -> None:
         channel_params(self.channel)
-        for name, values in (("phi", self.phi), ("mu", self.mu), ("tau", self.tau)):
-            if len(values) == 0:
+        for name, _, _ in _AXIS_DOMAINS:
+            values = getattr(self, name)
+            try:
+                # Sliced, as the engine indexes it: a set or an iterator is refused.
+                empty = len(values[:1]) == 0
+            except TypeError:
+                raise DomainError(f"{name} must be a sequence of numbers, got {values!r}") from None
+            if empty:
                 raise DomainError(f"{name} list must be non-empty")
-        for p in self.phi:
-            if not -PHI_ATOL <= p <= math.pi + PHI_ATOL:
-                raise DomainError(f"phi value {p} outside [0, pi]")
-        for m in self.mu:
-            if not 0.0 <= m <= 1.0:
-                raise DomainError(f"mu value {m} outside [0, 1]")
-        for t in self.tau:
-            if not 0.0 < t < math.inf:
-                raise DomainError(f"tau value {t} must be finite and > 0")
+        for name, inside, domain in _AXIS_DOMAINS:
+            for value in getattr(self, name):
+                try:
+                    ok = inside(value)
+                except (TypeError, ValueError):
+                    # It does not compare with a float, or gives no one truth value.
+                    raise DomainError(f"{name} value {value!r} is not a real number") from None
+                if not ok:
+                    raise DomainError(f"{name} value {value} {domain}")
+        if not isinstance(self.time, TimeGrid):
+            raise DomainError(f"time must be a TimeGrid, got {self.time!r}")
 
     def __len__(self) -> int:
         return len(self.phi) * len(self.mu) * len(self.tau) * len(self.time)
@@ -266,13 +287,16 @@ def _to_sink(sink: str | os.PathLike | IO | None, texts: Iterable[bytes]) -> int
     ``FileIO`` may, so each write is repeated until all is taken.  A stream
     with no binary layer is written decoded text.  ``None``, the
     ``sys.stdout`` of a process started with its standard output closed,
-    raises ``HyperspinError``.
+    raises ``HyperspinError``, and any other sink with no ``write``
+    ``DomainError``, before a piece is made.
     """
     if sink is None:
         raise HyperspinError("no output stream: standard output is closed")
+    path = isinstance(sink, (str, os.PathLike))
+    if not path and not hasattr(sink, "write"):
+        raise DomainError(f"sink must be a path or a stream, got {sink!r}")
     texts = iter(texts)
     data = next(texts, None)
-    path = isinstance(sink, (str, os.PathLike))
     if path:
         binary = open(sink, "wb")
     elif isinstance(sink, (io.RawIOBase, io.BufferedIOBase)):

@@ -5,17 +5,18 @@ lexicographic order, which is the C order of a ``(phi, mu, tau, time)``
 array.  Every value of a row is an elementwise function of two things: the
 X-state entries of the production state ``rho0(phi)``, and the survival
 factor ``eta(mu, tau, t)``, whose kernel part depends on ``(tau, t)`` only.
-``run_sweep`` therefore keeps one set of state constants per phi and one
-kernel value per ``(tau, t)``, and runs the domain checks over every row
-before it returns.  Neither eta nor the measures are held for the whole
-grid: checking, reading or emitting the rows evaluates them as numpy
-columns over a bounded chunk of rows, so memory depends on the chunk size
-and not on the number of rows.  A chunk is the numpy batch; a slice of
-``_SLICE_ROWS`` of its rows is the unit of text: its values are converted
-to Python objects, its lines joined and encoded and its bytes written one
-slice at a time, so no process holds a whole chunk's text.  Text becomes
-UTF-8 in ``_Format.render`` alone, and every byte, of an output or of a
-worker's frames, is written by ``hyperspin.grid._to_sink``.
+``run_sweep`` therefore keeps the six X entries of each state per phi
+and one kernel value per ``(tau, t)``, and checks every row before it
+returns.  Nothing else is held for the whole grid: checking, reading or
+emitting the rows derives the Bloch components, eta and the measures, as
+``measure_all`` does per point, as numpy columns over a bounded chunk of
+rows, so memory depends on the chunk size and not on the number of rows.
+A chunk is the numpy batch; a slice of ``_SLICE_ROWS`` of its rows is the
+unit of text: its values are converted to Python objects, its lines joined
+and encoded and its bytes written one slice at a time, so no process holds
+a whole chunk's text.  Text becomes UTF-8 in ``_Format.render`` alone, and
+every byte, of an output or of a worker's frames, is written by
+``hyperspin.grid._to_sink``.
 Rendering formats each string that repeats once where it can: the
 ``channel, phi, mu, tau, regime`` prefix once per series in a chunk, and
 ``time, kernel, eta`` once per run of chunks that cover the same ``(mu,
@@ -179,65 +180,58 @@ def _row_of(values: Sequence[Any]) -> SweepRow:
     return SweepRow(v["channel"], v["phi"], v["mu"], v["tau"], v["regime"], v["time"], record)
 
 
-#: Per-phi constants that ``_state_constants`` reads off each production state.
-_STATE_FIELDS = ("r14", "r23", "corner", "bias", "inner", "r33", "r30", "bloch_bad")
+#: The X entries of a production state that ``_state_constants`` keeps per
+#: phi: the populations and the anti-diagonal, which is real.
+_STATE_FIELDS = ("rho11", "rho22", "rho33", "rho44", "rho14", "rho23")
 
 
-def _state_constants(states: Iterable[DensityMatrix4]) -> dict[str, np.ndarray]:
-    """Everything the measures take from a state besides eta, one entry per phi.
-
-    Dephasing scales the anti-diagonal ``r14`` and ``r23`` (real for the
-    production states) and leaves the diagonal alone, so the steering bounds
-    and the diagonal Fano-Bloch components are fixed per phi; ``bloch_bad``
-    flags a state whose fixed components already fail the Fano-Bloch check.
+def _state_constants(states: Iterable[DensityMatrix4], count: int) -> dict[str, np.ndarray]:
+    """The ``_STATE_FIELDS`` of ``count`` states, filled straight into one
+    ``(count, 6)`` float64 block, as its six column views: 48 bytes per phi.
+    Everything else the measures take from a state is derived per chunk.
     """
-    entries = [
+    entries = (
         (rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14.real, rho.rho23.real)
         for rho in states
-    ]
-    a, b, c, d, r14, r23 = map(np.array, zip(*entries))
-    r33, r03, r30 = _diagonal_bloch(a, b, c, d)
-    corner, bias, inner = _steering_bounds(a, b, c, d)
-    bloch_bad = _bloch_outside(r33, r03, r30)
-    columns = (r14, r23, corner, bias, inner, r33, r30, bloch_bad)
-    return dict(zip(_STATE_FIELDS, columns))
+    )
+    block = np.fromiter(entries, np.dtype((np.float64, len(_STATE_FIELDS))), count)
+    return dict(zip(_STATE_FIELDS, block.T))
 
 
-def _dephased(
-    st: dict[str, np.ndarray], eta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _dephased(st: dict[str, np.ndarray], eta: np.ndarray) -> tuple:
     """The part of ``measure_all(dephase(rho0, eta), ...)`` that decides
     whether a row is valid, as columns over a chunk of rows.
 
-    ``st`` holds the ``_state_constants`` of each row's state.  Returns the
-    moduli ``|w|``, ``|z|`` of the dephased anti-diagonal, the concurrence,
-    the Bloch components ``r11``, ``r22``, and a mask of the rows on which
-    ``dephase`` or ``measure_all`` would raise: the domain predicates those
-    functions run on floats, here run on the columns.
+    ``st`` holds the entries of each row's state.  Returns the moduli
+    ``|w|``, ``|z|`` of the dephased anti-diagonal, the concurrence, the
+    Fano-Bloch components ``(r11, r22, r33, r03, r30)``, and a mask of the
+    rows on which ``dephase`` or ``measure_all`` would raise: the domain
+    predicates those functions run on floats, here run on the columns.
     """
-    w = st["r14"] * eta
-    z = st["r23"] * eta
+    w = st["rho14"] * eta
+    z = st["rho23"] * eta
     w_abs = abs(w)
     z_abs = abs(z)
     conc = _concurrence(w_abs, z_abs)
-    r11, r22 = _anti_diagonal_bloch(w, z)
-    bad = _eta_outside(eta) | _concurrence_outside(conc)
-    bad |= _bloch_outside(r11, r22) | st["bloch_bad"]
-    return w_abs, z_abs, conc, r11, r22, bad
+    populations = st["rho11"], st["rho22"], st["rho33"], st["rho44"]
+    bloch = (*_anti_diagonal_bloch(w, z), *_diagonal_bloch(*populations))
+    bad = _eta_outside(eta) | _concurrence_outside(conc) | _bloch_outside(*bloch)
+    return w_abs, z_abs, conc, bloch, bad
 
 
 def _measure_chunk(st: dict[str, np.ndarray], eta: np.ndarray) -> tuple[np.ndarray, ...]:
     """``measure_all(dephase(rho0, eta), ...)`` as columns over a chunk of
     rows that ``_dephased`` accepts, in ``_MEASURE_COLUMNS`` order: the
-    measure sequence ``measure_all`` runs, ``_measure_values``, here on
-    numpy columns with libm ``log2`` per element (numpy's SIMD ``log2``
-    differs from it in the last ulp on some inputs).  The steering class is
-    its code, an index into ``STEERING_CLASSES``.
+    composition ``measure_all`` runs, ``_steering_bounds`` and
+    ``_measure_values``, here on numpy columns with libm ``log2`` per
+    element (numpy's SIMD ``log2`` differs from it in the last ulp on some
+    inputs).  The steering class is its code, an index into
+    ``STEERING_CLASSES``.
     """
     ops = _Ops(np.where, np.sqrt, lambda x: np.array(list(map(math.log2, x.tolist()))))
-    w_abs, z_abs, conc, r11, r22, _ = _dephased(st, eta)
-    bounds = (st["corner"], st["bias"], st["inner"])
-    return _measure_values(w_abs, z_abs, conc, bounds, r11, r22, st["r33"], st["r30"], ops)
+    w_abs, z_abs, conc, (r11, r22, r33, _, r30), _ = _dephased(st, eta)
+    bounds = _steering_bounds(st["rho11"], st["rho22"], st["rho33"], st["rho44"])
+    return _measure_values(w_abs, z_abs, conc, bounds, r11, r22, r33, r30, ops)
 
 
 #: A chunk of consecutive rows: the distinct series it covers (one list per
@@ -261,7 +255,7 @@ class _Columns:
     mu: np.ndarray
     #: Per (tau, time), flattened.
     kernel: np.ndarray
-    #: The ``_state_constants``, one entry per phi.
+    #: The ``_state_constants``: six entry columns, one row per phi.
     states: dict[str, np.ndarray]
 
     def __len__(self) -> int:
@@ -272,7 +266,7 @@ class _Columns:
     ) -> Iterator[tuple[np.ndarray, np.ndarray, dict, np.ndarray]]:
         """Per chunk of rows, from chunk ``start`` on in steps of ``stride``
         chunks: the row indices, and each row's ``(mu, tau, time)`` point
-        index, state constants and eta."""
+        index, state entries and eta."""
         for first in range(start * _CHUNK_ROWS, len(self), stride * _CHUNK_ROWS):
             rows = np.arange(first, min(first + _CHUNK_ROWS, len(self)))
             i_state, i_point = np.divmod(rows, self.mu.size * self.kernel.size)
@@ -444,10 +438,10 @@ def _evaluate(grid: SweepGrid) -> _Columns:
     first such row in grid order is the one reported.
     """
     ch = channel_params(grid.channel)
-    # One state at a time: only its constants are kept.  Looked up in
+    # One state at a time: only its six entries are kept.  Looked up in
     # ``grid``, where ``point_row`` looks it up.
     states = (grid_module.density_matrix(ch, p) for p in grid.phi)
-    constants = _state_constants(states)
+    constants = _state_constants(states, len(grid.phi))
     start, step, n_times = grid.time.start, grid.time.step, len(grid.time)
     # ``start + k * step``, as ``TimeGrid.values`` gives it, built in place:
     # only the arrays kept are allocated, and no list of floats.
@@ -550,6 +544,8 @@ def _run(
     workers: int | None,
     preset: str | None,
 ) -> SweepResult:
+    if not isinstance(grid, SweepGrid):
+        raise DomainError(f"grid must be a SweepGrid, got {grid!r}; run_preset runs a preset id")
     if isinstance(measures, str):
         raise DomainError(f"measures must be a sequence of names, got the string {measures!r}")
     try:

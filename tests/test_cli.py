@@ -200,6 +200,16 @@ def test_sweep_figure_conflicts_with_grid_flags():
     assert proc.stderr == "hyperspin: error: --figure and explicit grid flags are mutually exclusive\n"
 
 
+def test_sweep_empty_channel_is_an_unknown_channel():
+    # Given, if empty: a channel name, not a missing flag.
+    proc = run_cli("sweep", "--channel", "", "--grid", "time=0:1:1", "--phi", "1", "--mu", "0",
+                   "--tau", "1")  # fmt: skip
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "hyperspin: error: unknown channel ''; registered: ['lambda', 'sigma+', 'xi-', 'xi0']\n"
+    )
+
+
 def test_sweep_grid_axis_for_phi():
     proc = run_cli(
         "sweep", "--grid", "time=0:1:1", "--grid", "phi=0:1.5707963:0.78539815",

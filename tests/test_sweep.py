@@ -516,6 +516,60 @@ def test_evaluate_allocates_little_beyond_what_it_keeps():
     assert columns.regimes == ["markovian", "non_markovian"]
 
 
+def test_evaluate_allocates_little_beyond_what_it_keeps_per_phi():
+    # 200,001 phis at one time: the six X entries of each state, 9.6 MB.
+    n = 200_001
+    phis = tuple(k * (math.pi / (n - 1)) for k in range(n))
+    grid = SweepGrid("lambda", phis, (0.8,), (5.0,), TimeGrid(2.0, 2.0, 1.0))
+    sweep_module._evaluate(small_grid())
+    tracemalloc.start()
+    try:
+        columns = sweep_module._evaluate(grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= 48 * n
+    assert peak <= 2 * kept, (kept, peak)
+    assert sorted(columns.states) == sorted(sweep_module._STATE_FIELDS)
+    rho = density_matrix(channel_params("lambda"), phis[12_345])
+    assert [columns.states[name][12_345] for name in sweep_module._STATE_FIELDS] == [
+        rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14.real, rho.rho23.real
+    ]
+
+
+@pytest.mark.parametrize(
+    ("make", "named"),
+    [
+        (lambda: TimeGrid("0", 1.0, 1.0), "time start must be a real number, got '0'"),
+        (lambda: TimeGrid(None, 1.0, 1.0), "time start must be a real number, got None"),
+        (lambda: small_grid(phi=1.0), "phi must be a sequence of numbers, got 1.0"),
+        (lambda: small_grid(mu={0.5, 0.8}), "mu must be a sequence of numbers, got {0.5, 0.8}"),
+        (lambda: small_grid(phi=("1",)), "phi value '1' is not a real number"),
+        (
+            lambda: small_grid(phi=(np.array([0.1, 0.2]),)),
+            "phi value array([0.1, 0.2]) is not a real number",
+        ),
+        (lambda: small_grid(mu=(None,)), "mu value None is not a real number"),
+        (lambda: small_grid(tau=(1j,)), "tau value 1j is not a real number"),
+        (
+            lambda: run_sweep(small_grid(time=(0.0, 1.0, 1.0))),
+            "time must be a TimeGrid, got (0.0, 1.0, 1.0)",
+        ),
+        (lambda: run_sweep("h1a"), "grid must be a SweepGrid, got 'h1a'"),
+        (
+            lambda: emit(run_sweep(small_grid()), "csv", 5),
+            "sink must be a path or a stream, got 5",
+        ),
+    ],
+    ids=["time-str", "time-none", "axis-float", "axis-set", "axis-str", "axis-array",
+         "axis-none", "axis-complex", "time-tuple", "grid-str", "sink-int"],  # fmt: skip
+)
+def test_wrong_types_are_domain_errors_naming_the_field(make, named):
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value).startswith(named), str(info.value)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -596,13 +650,13 @@ def _kernel_failing_at(t_bad):
     return patched
 
 
-def _bogus_state_at(phi_bad, w, z):
+def _bogus_state_at(phi_bad, w, z, populations=(0.25, 0.25, 0.25, 0.25)):
     real = grid_module.density_matrix
 
     def patched(ch, phi):
         if phi != phi_bad:
             return real(ch, phi)
-        return DensityMatrix4._of_entries(0.25, 0.25, 0.25, 0.25, complex(w), complex(z))
+        return DensityMatrix4._of_entries(*populations, complex(w), complex(z))
 
     return patched
 
@@ -626,6 +680,13 @@ def _bogus_state_at(phi_bad, w, z):
             "density_matrix",
             _bogus_state_at(HALF_PI, 0.45, 0.45),
             "Bloch component 1.8 outside [-1, 1] "
+            "[at channel=lambda, phi=1.5707963267948966, mu=0.0, tau=0.1, time=0.0]",
+        ),
+        (
+            # Outside through the populations alone: r33 = 1 - 2*(b + c).
+            "density_matrix",
+            _bogus_state_at(HALF_PI, 0.0, 0.0, (1.2, -0.1, -0.1, 0.0)),
+            "Bloch component 1.4 outside [-1, 1] "
             "[at channel=lambda, phi=1.5707963267948966, mu=0.0, tau=0.1, time=0.0]",
         ),
         (
