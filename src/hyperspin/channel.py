@@ -56,9 +56,18 @@ class ChannelConfig:
     regime: Regime = field(init=False, repr=False, compare=False)
 
     def __init__(self, mu: float, tau: float) -> None:
-        if not 0.0 <= mu <= 1.0:
+        try:
+            mu_inside = 0.0 <= mu <= 1.0
+        except (TypeError, ValueError):
+            # It does not compare with a float, or gives no one truth value.
+            raise DomainError(f"mu must be a real number, got {mu!r}") from None
+        if not mu_inside:
             raise DomainError(f"mu must be in [0, 1], got {mu}")
-        if not 0.0 < tau < math.inf:
+        try:
+            tau_inside = 0.0 < tau < math.inf
+        except (TypeError, ValueError):
+            raise DomainError(f"tau must be a real number, got {tau!r}") from None
+        if not tau_inside:
             raise DomainError(f"tau must be finite and > 0, got {tau}")
         # Python floats: an np.float64 tau would warn where u * u overflows.
         u = 1.0 / (2.0 * float(tau))
@@ -132,7 +141,11 @@ def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
     last = _last_kernel
     if last is not None and last[0] is t and last[1] is cfg:
         return last[2]
-    if not math.isfinite(t):
+    try:
+        finite = math.isfinite(t)
+    except TypeError:
+        raise DomainError(f"time must be a real number, got {t!r}") from None
+    if not finite:
         raise DomainError(f"time must be finite, got {t}")
     if t < 0.0:
         raise NegativeTimeError(f"time must be >= 0, got {t}")
@@ -271,8 +284,12 @@ def dephase(rho: DensityMatrix4, eta: float) -> DensityMatrix4:
     (the block determinants only grow), so the result is built without
     re-validation from the four populations and the two scaled entries.
     """
-    if _eta_outside(eta):
-        raise DomainError(f"eta must be in [0, 1], got {eta}")
+    try:
+        if _eta_outside(eta):
+            raise DomainError(f"eta must be in [0, 1], got {eta}")
+    except (TypeError, ValueError):
+        # It does not compare with a float, or gives no one truth value.
+        raise DomainError(f"eta must be a real number, got {eta!r}") from None
     return DensityMatrix4._of_entries(
         rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14 * eta, rho.rho23 * eta
     )

@@ -16,8 +16,8 @@ alike.
 
 ``_to_sink``, which writes every byte, ``measure``'s, ``emit``'s, each
 ``sweep`` worker's frames and their merge, to a binary or text stream or to
-a path it opens once their first piece is made, lives here too, so
-``measure`` writes through it without loading the engine.
+a path, which it replaces only once the last byte is written, lives here
+too, so ``measure`` writes through it without loading the engine.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from __future__ import annotations
 import io
 import math
 import os
+import stat
 from dataclasses import dataclass
-from typing import IO, Any, Iterable, Sequence
+from typing import IO, Any, Callable, Iterable, Sequence
 
 from .channel import ChannelConfig, _survival, dephase, memory_kernel
 from .errors import DomainError, HyperspinError
@@ -275,19 +276,29 @@ def point_row(grid: SweepGrid) -> SweepRow:
     return SweepRow(channel, phi, mu, tau, cfg.regime.value, t, record)
 
 
-def _to_sink(sink: str | os.PathLike | IO | None, texts: Iterable[bytes]) -> int:
-    """Write ``texts``, UTF-8, to ``sink``, a path to open ``"wb"``, a binary
-    stream or a text stream; returns the bytes written.
+def _to_sink(
+    sink: str | os.PathLike | IO | None,
+    texts: Iterable[bytes],
+    commit: Callable[[], None] | None = None,
+) -> int:
+    """Write ``texts``, UTF-8, to ``sink``, a path, a binary stream or a text
+    stream; returns the bytes written.
 
-    A path is opened once the first piece of ``texts`` is made, so a failure
-    in it leaves the file as it was.  A binary stream (``io.RawIOBase``,
-    ``io.BufferedIOBase``) is written directly.  A text stream is flushed,
-    so that what it holds goes out first, and its binary layer ``.buffer``
-    is written.  A binary layer may take part of a write, as a raw
-    ``FileIO`` may, so each write is repeated until all is taken.  A stream
-    with no binary layer is written decoded text.  ``None``, the
-    ``sys.stdout`` of a process started with its standard output closed,
-    raises ``HyperspinError``, and any other sink with no ``write``
+    A path that names a regular file, or nothing, is written through a
+    temporary file beside it (see ``_replacing``), which is opened once the
+    first piece of ``texts`` is made and renamed over the path only after
+    the last byte, once ``commit`` (if given) has returned; any failure or
+    interrupt before that removes the temporary file and leaves the path as
+    it was.  Any other path, a device or a FIFO such as ``/dev/null``, is
+    opened ``"wb"`` and written in place.  A binary stream
+    (``io.RawIOBase``, ``io.BufferedIOBase``) is written directly.  A text
+    stream is flushed, so that what it holds goes out first, and its binary
+    layer ``.buffer`` is written.  A binary layer may take part of a write,
+    as a raw ``FileIO`` may, so each write is repeated until all is taken.
+    A stream with no binary layer is written decoded text; ``commit`` runs
+    after a stream's last byte too.  ``None``, the ``sys.stdout`` of a
+    process started with its standard output closed, raises
+    ``HyperspinError``, and any other sink with no ``write``
     ``DomainError``, before a piece is made.
     """
     if sink is None:
@@ -297,8 +308,9 @@ def _to_sink(sink: str | os.PathLike | IO | None, texts: Iterable[bytes]) -> int
         raise DomainError(f"sink must be a path or a stream, got {sink!r}")
     texts = iter(texts)
     data = next(texts, None)
+    target = temporary = None
     if path:
-        binary = open(sink, "wb")
+        target, temporary, binary = _replacing(sink)
     elif isinstance(sink, (io.RawIOBase, io.BufferedIOBase)):
         binary = sink
     elif (binary := getattr(sink, "buffer", None)) is not None:
@@ -318,7 +330,56 @@ def _to_sink(sink: str | os.PathLike | IO | None, texts: Iterable[bytes]) -> int
             # Free this piece before the next one is made or read.
             del data
             data = next(texts, None)
+        if path:
+            binary.close()
+        if commit is not None:
+            commit()
+        if temporary is not None:
+            os.replace(temporary, target)
+            temporary = None
         return nbytes
     finally:
         if path:
             binary.close()
+        if temporary is not None:
+            os.unlink(temporary)
+
+
+def _replacing(path: str | os.PathLike) -> tuple[str | None, str | None, IO[bytes]]:
+    """Open what ``_to_sink`` writes for ``path``: ``(target, temporary,
+    file)``.
+
+    If ``path``, its symlinks resolved, is a regular file or nothing, the
+    file is a new temporary one in the target's directory, to be renamed
+    over the target: with the target's mode, or, for a new file, ``0o666``
+    less the umask, as ``open(path, "wb")`` gives.  An existing file that
+    ``open(path, "wb")`` would refuse is refused as it refuses it.
+    Otherwise ``path`` is opened ``"wb"``, and target and temporary are None.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        return None, None, open(path, "wb")
+    if mode is not None:
+        # Raises, as ``open(path, "wb")`` would, if the file may not be
+        # written; it is opened without truncation and closed untouched.
+        os.close(os.open(path, os.O_WRONLY))
+    directory, name = os.path.split(target)
+    temporary = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(temporary, flags, 0o666 if mode is None else 0o600)
+    except OSError as exc:
+        # Named by the path asked for, as ``open(path, "wb")`` names it.
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        if mode is not None:
+            os.fchmod(fd, stat.S_IMODE(mode))
+        return target, temporary, open(fd, "wb")
+    except BaseException:
+        os.close(fd)
+        os.unlink(temporary)
+        raise

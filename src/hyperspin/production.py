@@ -254,7 +254,12 @@ class DensityMatrix4:
 
 
 def _check_phi(phi: float) -> float:
-    if not -PHI_ATOL <= phi <= math.pi + PHI_ATOL:
+    try:
+        inside = -PHI_ATOL <= phi <= math.pi + PHI_ATOL
+    except (TypeError, ValueError):
+        # It does not compare with a float, or gives no one truth value.
+        raise DomainError(f"phi must be a real number, got {phi!r}") from None
+    if not inside:
         raise DomainError(f"phi must be in [0, pi], got {phi}")
     return float(phi)
 

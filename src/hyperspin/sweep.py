@@ -47,8 +47,9 @@ rows take more than one chunk.  Worker ``k`` evaluates and renders chunks
 unbuffered pipe of its own as one length-prefixed frame, and an empty
 frame at each chunk's end.  The parent hands the frames, chunk by chunk
 from the two pipes in turn, to the writer of ``emit``, which reads worker
-0's first frame before it opens the sink, so a failure in the first rows
-leaves a file as it was, and the bytes and the byte count are those of
+0's first frame before it opens the sink, and renames an output file into
+place only once both workers have exited with status 0, so a failed run
+leaves a file as it was; the bytes and the byte count are those of
 ``emit``.  The parent holds the columns, the metadata and one
 frame at a time; each worker holds its chunk's columns and one slice of
 text besides the pages it shares with the parent.  As the parent renders
@@ -74,6 +75,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     IO,
+    TYPE_CHECKING,
     Any,
     Callable,
     Iterable,
@@ -117,6 +119,11 @@ from .measures import (
 )
 from .production import DensityMatrix4, channel_params
 from .presets import MEASURE_NAMES, figure_preset
+
+if TYPE_CHECKING:
+    # Named for the annotations only: the registry's names are not the
+    # engine's to export.
+    from .presets import FigurePreset
 
 KERNEL_VARIANT = "telegraph-paired-cos-sin/cosh-sinh-u-over-v"
 
@@ -477,12 +484,11 @@ class SweepResult:
         self.metadata = metadata
 
     @classmethod
-    def _of_columns(
-        cls, columns: _Columns, measures: tuple[str, ...], preset: str | None
-    ) -> SweepResult:
+    def _of_columns(cls, columns: _Columns, preset: FigurePreset | None) -> SweepResult:
         result = cls.__new__(cls)
         result._rows, result._columns = None, columns
-        result._stamp = preset, measures
+        # The preset run, whose id and measures the metadata carries, or None.
+        result._preset = preset
         return result
 
     @functools.cached_property
@@ -491,17 +497,17 @@ class SweepResult:
         ``hashlib``, which loads OpenSSL, and only JSON output shows it."""
         import hashlib
 
-        preset, measures = self._stamp
+        preset = self._preset
         spec = self._columns.grid.spec()
         grid_hash = hashlib.sha256(
             json.dumps(spec, sort_keys=True).encode("utf-8")
         ).hexdigest()[:12]
         return {
-            "preset": preset,
+            "preset": None if preset is None else preset.preset_id,
             "grid_hash": grid_hash,
             "kernel_variant": KERNEL_VARIANT,
             "version": __version__,
-            "measures": list(measures),
+            "measures": list(MEASURE_NAMES if preset is None else preset.measures),
             "grid": spec,
         }
 
@@ -520,51 +526,32 @@ class SweepResult:
         return _row_chunks(self._rows)
 
 
-def run_sweep(
-    grid: SweepGrid,
-    measures: Sequence[str] | None = None,
-    workers: int | None = None,
-) -> SweepResult:
+def run_sweep(grid: SweepGrid, workers: int | None = None) -> SweepResult:
     """Evaluate every grid point, in lexicographic grid order.
 
-    ``measures`` is a selector recorded in the metadata; every row always
-    carries all measure fields (they share almost all of their arithmetic).
+    Every row carries all measure fields, and the metadata lists them all.
     ``workers`` must be an integer >= 1 and changes nothing: the result is
     evaluated in the caller's process, and only the ``sweep`` command
     renders in forked workers (see the module docstring).  It stays only because
     ``perfbench/run.py`` passes it, and goes with the next change to the
     benchmark.
     """
-    return _run(grid, measures, workers, None)
+    return _run(grid, workers, None)
 
 
-def _run(
-    grid: SweepGrid,
-    measures: Sequence[str] | None,
-    workers: int | None,
-    preset: str | None,
-) -> SweepResult:
+def _run(grid: SweepGrid, workers: int | None, preset: FigurePreset | None) -> SweepResult:
     if not isinstance(grid, SweepGrid):
         raise DomainError(f"grid must be a SweepGrid, got {grid!r}; run_preset runs a preset id")
-    if isinstance(measures, str):
-        raise DomainError(f"measures must be a sequence of names, got the string {measures!r}")
-    try:
-        selected = tuple(measures) if measures is not None else MEASURE_NAMES
-    except TypeError:
-        raise DomainError(f"measures must be a sequence of names, got {measures!r}") from None
-    for name in selected:
-        if name not in MEASURE_NAMES:
-            raise DomainError(f"unknown measure {name!r}; known: {MEASURE_NAMES}")
     if workers is not None and not (isinstance(workers, int) and workers >= 1):
         raise DomainError(f"workers must be an integer >= 1, got {workers!r}")
     grid_module._check_rows(len(grid))
-    return SweepResult._of_columns(_evaluate(grid), selected, preset)
+    return SweepResult._of_columns(_evaluate(grid), preset)
 
 
 def run_preset(preset_id: str, workers: int | None = None) -> SweepResult:
-    """Run a figure preset and stamp its id into the metadata."""
+    """Run a figure preset and stamp its id and measures into the metadata."""
     preset = figure_preset(preset_id)
-    return _run(preset.grid, preset.measures, workers, preset.preset_id)
+    return _run(preset.grid, workers, preset)
 
 
 def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str] | IO[bytes]) -> int:
@@ -576,7 +563,10 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str] | IO[bytes]) 
     an object with ``metadata`` and a ``records`` array of flat objects
     carrying the same field names as the CSV columns, floats rounded to 12
     significant digits.  Either way the rows are evaluated a chunk at a
-    time, and rendered and written a slice at a time, in this process.
+    time, and rendered and written a slice at a time, in this process.  A
+    path that names a regular file, or nothing, is written through a
+    temporary file beside it and replaced only once the whole document is
+    written; a device or a FIFO is written in place.
     """
     return _emit(result, fmt, sink, split=False)
 
@@ -602,7 +592,7 @@ def _document(result: SweepResult, fmt: str, records: Iterator[bytes]) -> Iterat
 
     The head is made with the first slice, rendered or read from worker 0,
     and ``_to_sink`` makes it before it opens a sink file, so a failure in
-    the metadata or the first rows leaves the file as it was.
+    the metadata or the first rows opens no file.
     """
     first = next(records, None)
     head, tail = CSV_HEADER + "\n", ""
@@ -630,7 +620,9 @@ def _emit_from_workers(
     Worker ``k`` renders chunks ``k``, ``k + 2``, ... and sends their slices
     through a pipe of its own.  This process renders nothing: it reads the
     frames chunk by chunk, from the two pipes in turn, and writes them to
-    the sink.  Any failure kills both workers; both are always reaped.
+    the sink.  Both workers are reaped, and must have exited with status 0,
+    before ``_to_sink`` renames an output file into place.  Any failure
+    kills both workers; both are always reaped.
     """
     # Unix-only, so imported here: ``emit`` must import on every platform.
     import fcntl
@@ -660,20 +652,32 @@ def _emit_from_workers(
                 os.close(write_fd)
             pids.append(pid)
         n_chunks = (len(columns) - 1) // _CHUNK_ROWS + 1
-        nbytes = _to_sink(sink, _document(result, fmt, _interleaved(pipes, n_chunks)))
+        records = _interleaved(pipes, n_chunks)
+        commit = functools.partial(_reap, pids, pipes, check=True)
+        return _to_sink(sink, _document(result, fmt, records), commit)
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pipe in pipes:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        _reap(pids, pipes)
+
+
+def _reap(pids: list[int], pipes: Sequence[IO[bytes]], check: bool = False) -> None:
+    """Close the read ends and reap each worker in ``pids``, which is left
+    empty; with ``check``, raise if one did not exit with status 0.  A
+    worker is dropped from ``pids`` only once it is reaped, so an interrupt
+    leaves the rest to be killed."""
+    for pipe in pipes:
+        pipe.close()
+    statuses = []
+    while pids:
+        statuses.append(os.waitpid(pids[-1], 0)[1])
+        pids.pop()
     for status in statuses:
-        if status != 0:
+        if check and status != 0:
             code = os.waitstatus_to_exitcode(status)
             raise HyperspinError(f"the render process exited with status {code}")
-    return nbytes
 
 
 #: A frame is the size of the text that follows, in this many bytes, signed

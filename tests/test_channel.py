@@ -303,6 +303,42 @@ def test_dephase_domain():
         dephase(rho, 1.5)
 
 
+@pytest.mark.parametrize(
+    "function", [memory_kernel, decoherence_factor, evolve], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        ("1", "time must be a real number, got '1'"),
+        (None, "time must be a real number, got None"),
+        (1j, "time must be a real number, got 1j"),
+    ],
+    ids=["str", "none", "complex"],
+)
+def test_time_of_a_wrong_type_is_a_domain_error(function, t, message):
+    cfg = ChannelConfig(mu=0.5, tau=1.0)
+    rho = density_matrix(channel_params("lambda"), HALF_PI)
+    with pytest.raises(DomainError) as err:
+        function(*((rho, t, cfg) if function is evolve else (t, cfg)))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "eta, message",
+    [
+        ("0.5", "eta must be a real number, got '0.5'"),
+        (None, "eta must be a real number, got None"),
+        (np.array([0.1, 0.2]), "eta must be a real number, got array([0.1, 0.2])"),
+    ],
+    ids=["str", "none", "array"],
+)
+def test_dephase_of_a_wrong_type_is_a_domain_error(eta, message):
+    rho = density_matrix(channel_params("lambda"), HALF_PI)
+    with pytest.raises(DomainError) as err:
+        dephase(rho, eta)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
 def test_kernel_rejects_non_finite_time(t):
     for tau in (0.1, 0.5, 5.0):

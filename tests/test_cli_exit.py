@@ -170,13 +170,32 @@ def test_a_sweep_to_a_file_needs_no_stdout(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == H1A_CSV
 
 
+#: What ``--out`` holds before each failing run below, which must leave it so.
+GOOD = b"a good file from an earlier run\n"
+
+
+def _assert_left_as_it_was(out):
+    """``out`` holds ``GOOD``, and no temporary file is left beside it."""
+    assert out.read_bytes() == GOOD
+    assert list(out.parent.iterdir()) == [out]
+
+
+def _assert_no_process_left(pid):
+    """No process is left in the group of ``pid``, started in a session of
+    its own: neither it nor any render worker."""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pid, 0)
+
+
 @pytest.mark.parametrize(
     "signum, code", [(signal.SIGINT, 130), (signal.SIGTERM, 143)], ids=["SIGINT", "SIGTERM"]
 )
 def test_an_interrupted_sweep_is_one_line_and_leaves_no_process(signum, code, tmp_path):
     # The process and its two render workers, signalled as a group, as a
-    # terminal's Ctrl-C signals them, once the output has its first bytes.
+    # terminal's Ctrl-C signals them, once the temporary output beside the
+    # good file has its first bytes.
     out = tmp_path / "h2b.json"
+    out.write_bytes(GOOD)
     argv = ["sweep", "--figure", "h2b", "--format", "json", "--out", str(out)]
     proc = subprocess.Popen(
         [*LAUNCHERS["python -m hyperspin"], *argv],
@@ -186,7 +205,7 @@ def test_an_interrupted_sweep_is_one_line_and_leaves_no_process(signum, code, tm
         start_new_session=True,
     )
     deadline = time.monotonic() + 120
-    while not (out.exists() and out.stat().st_size > 0):
+    while not any(p.stat().st_size > 0 for p in tmp_path.iterdir() if p != out):
         assert proc.poll() is None and time.monotonic() < deadline
         time.sleep(0.01)
     os.killpg(proc.pid, signum)
@@ -194,5 +213,85 @@ def test_an_interrupted_sweep_is_one_line_and_leaves_no_process(signum, code, tm
     proc.stderr.close()
     assert proc.wait(timeout=60) == code
     assert err == b"hyperspin: interrupted\n"
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
+    _assert_left_as_it_was(out)
+    _assert_no_process_left(proc.pid)
+
+
+#: ``entry`` with every file that ``hyperspin.grid`` opens failing with
+#: ENOSPC once it has taken the number of writes in ``sys.argv[1]``.
+FULL_DISK = """
+import errno, sys
+import hyperspin.grid as grid
+from hyperspin.cli import entry
+
+TAKEN = int(sys.argv.pop(1))
+
+class Full:
+    def __init__(self, file):
+        self.file, self.left = file, TAKEN
+
+    def write(self, data):
+        if not self.left:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.left -= 1
+        return self.file.write(data)
+
+    def close(self):
+        self.file.close()
+
+grid.open = lambda *args: Full(open(*args))
+entry()
+"""
+
+#: ``entry`` with render worker 1 killed by SIGKILL once it has rendered its
+#: first chunk.
+KILLED_WORKER = """
+import os, signal
+import hyperspin.sweep as sweep
+from hyperspin.cli import entry
+
+real_chunks = sweep._Columns.chunks
+
+def chunks(self, start=0, stride=1):
+    rendered = real_chunks(self, start, stride)
+    if (start, stride) != (1, 2):
+        return rendered
+
+    def dying():
+        yield next(rendered)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    return dying()
+
+sweep._Columns.chunks = chunks
+entry()
+"""
+
+ENOSPC = b"hyperspin: i/o error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "script, argv, err",
+    [
+        (KILLED_WORKER, ["sweep", "--figure", "h1a"],
+         b"hyperspin: error: the render process ended before sending all rows\n"),
+        # The head is taken, then the first slice that the workers sent fails.
+        (FULL_DISK, ["1", "sweep", "--figure", "h1a", "--format", "json"], ENOSPC),
+        (FULL_DISK, ["0", *MEASURE], ENOSPC),
+    ],  # fmt: skip
+    ids=["worker-killed", "sweep-ENOSPC", "measure-ENOSPC"],
+)
+def test_a_failed_run_leaves_the_output_file_as_it_was(tmp_path, script, argv, err):
+    out = tmp_path / "out"
+    out.write_bytes(GOOD)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv, "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=BUFFERED,
+        start_new_session=True,
+    )
+    got = proc.communicate(timeout=300)
+    assert (proc.returncode, *got) == (1, b"", err)
+    _assert_left_as_it_was(out)
+    _assert_no_process_left(proc.pid)

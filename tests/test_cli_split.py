@@ -22,6 +22,7 @@ import sys
 
 import pytest
 
+import hyperspin.grid as grid_module
 import hyperspin.sweep as sweep_module
 from hyperspin import cli, emit, run_sweep
 
@@ -131,11 +132,21 @@ FAILURES = pytest.mark.parametrize(
 
 def _check_failing_worker(forks, monkeypatch, capsys, tmp_path, worker, fmt, how, message):
     monkeypatch.setattr(sweep_module._Columns, "chunks", _fail_in_worker(how, worker))
+    opened = []
+    real_replacing = grid_module._replacing
+
+    def recording_replacing(path):
+        opened.append(path)
+        return real_replacing(path)
+
+    monkeypatch.setattr(grid_module, "_replacing", recording_replacing)
     out = tmp_path / "out"
     assert cli.main(_sweep_argv(3, fmt) + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == message
-    # Worker 0's first frame is read before the file is opened.
-    assert out.exists() == (worker == 1)
+    # Worker 0's first frame is read before the temporary file is opened,
+    # and that file is removed: the path is left as it was, absent.
+    assert opened == ([str(out)] if worker == 1 else [])
+    assert os.listdir(tmp_path) == []
     assert len(forks) == 2
     _assert_no_child_left()
 
@@ -363,6 +374,8 @@ def _check_worker_failing_mid_chunk(
     monkeypatch.setattr(sweep_module._Format, "render", _fail_mid_chunk(monkeypatch, how, worker))
     assert cli.main(_sweep_argv(3, fmt) + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == message
+    # The temporary file was opened, and removed: no file is left.
+    assert os.listdir(tmp_path) == []
     if how == "raises":
         # Chunk 0 whole if worker 1 fails, then the slice that the failing
         # worker sent, then its error frame, which ``_frame`` raises.

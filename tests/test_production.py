@@ -256,6 +256,22 @@ def test_phi_domain_is_enforced():
         xstate_params(ch, math.pi + 0.2)
 
 
+@pytest.mark.parametrize("function", [density_matrix, xstate_params, polarization, phi_matrix])
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        ("1", "phi must be a real number, got '1'"),
+        (None, "phi must be a real number, got None"),
+        (np.array([0.1, 0.2]), "phi must be a real number, got array([0.1, 0.2])"),
+    ],
+    ids=["str", "none", "array"],
+)
+def test_phi_of_a_wrong_type_is_a_domain_error(function, phi, message):
+    with pytest.raises(DomainError) as err:
+        function(channel_params("lambda"), phi)
+    assert str(err.value) == message
+
+
 def test_xstate_params_branch_order_enforced():
     with pytest.raises(DomainError):
         XStateParams(kappa=0.0, gamma1=0.2, gamma2=0.5, gamma3=0.0)

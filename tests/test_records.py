@@ -13,6 +13,7 @@ import math
 import pickle
 import sys
 
+import numpy as np
 import pytest
 
 from hyperspin import (
@@ -132,6 +133,12 @@ def test_config_replace_recomputes_the_regime():
             1e-160,
             "tau is too small: (1/(2*tau))**2 overflows below about 3.73e-155, got 1e-160",
         ),
+        # A value that does not compare with a float, or gives no one truth
+        # value, is named by its field; mu is still checked first.
+        ("0.5", 1.0, "mu must be a real number, got '0.5'"),
+        (0.5, None, "tau must be a real number, got None"),
+        (np.array([0.1, 0.2]), 1.0, "mu must be a real number, got array([0.1, 0.2])"),
+        (None, "1", "mu must be a real number, got None"),
     ],
 )
 def test_config_domain_errors(mu, tau, message):

@@ -3,8 +3,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -110,16 +113,6 @@ def test_run_sweep_phi_boundary_zero_columns():
         assert row.record.concurrence == 0.0
         assert row.record.eof == 0.0
         assert row.record.gqd == 0.0
-
-
-def test_run_sweep_rejects_unknown_measure():
-    with pytest.raises(DomainError):
-        run_sweep(small_grid(), measures=("entropy",))
-    # A string is one name, not a sequence of them, however it iterates.
-    with pytest.raises(DomainError, match="measures must be a sequence of names.*'eof'"):
-        run_sweep(small_grid(), measures="eof")
-    with pytest.raises(DomainError, match="measures must be a sequence of names, got 5"):
-        run_sweep(small_grid(), measures=5)
 
 
 def test_parallel_equivalence():
@@ -258,6 +251,73 @@ def test_unrenderable_json_leaves_the_file_as_it_was(tmp_path):
         with pytest.raises(TypeError):
             emit(SweepResult(bad_rows, metadata), "json", target)
         assert target.read_text() == "old\n"
+
+
+def _umask():
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def test_emit_replaces_a_file_and_keeps_its_mode(tmp_path):
+    result = run_sweep(small_grid())
+    want = io.BytesIO()
+    emit(result, "csv", want)
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"old\n")
+    old.chmod(0o604)
+    with open(old, "rb") as before:
+        emit(result, "csv", old)
+        # Replaced, not rewritten: a reader of the old file still reads it.
+        assert before.read() == b"old\n"
+    new = tmp_path / "new.csv"
+    emit(result, "csv", new)
+    for path in (old, new):
+        assert path.read_bytes() == want.getvalue()
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~_umask()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "old.csv"]
+
+
+def test_emit_through_a_link_replaces_the_file_it_names(tmp_path):
+    result = run_sweep(small_grid())
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "out.csv"
+    target.write_bytes(b"old\n")
+    link = tmp_path / "out.csv"
+    link.symlink_to(target)
+    with open(target, "rb") as before:
+        nbytes = emit(result, "csv", link)
+        # The target was replaced, not rewritten.
+        assert before.read() == b"old\n"
+    # The link still names the target, and no temporary file is left
+    # beside either.
+    assert link.is_symlink() and link.resolve() == target
+    assert target.stat().st_size == nbytes
+    assert list((tmp_path / "data").iterdir()) == [target]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "out.csv"]
+
+
+def test_emit_writes_a_fifo_and_dev_null_in_place(tmp_path):
+    result = run_sweep(small_grid())
+    want = io.BytesIO()
+    nbytes = emit(result, "json", want)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert emit(result, "json", fifo) == nbytes
+    reader.join(timeout=60)
+    assert read == [want.getvalue()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    null = tmp_path / "null"
+    null.symlink_to(os.devnull)
+    dev = set(os.listdir(os.path.dirname(os.devnull)))
+    assert emit(result, "json", null) == emit(result, "json", os.devnull) == nbytes
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert set(os.listdir(os.path.dirname(os.devnull))) == dev
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "null"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -614,7 +674,6 @@ def test_metadata_read_late_is_the_eager_dict():
     m08 = figure_preset("m08")
     cases = (
         (run_sweep(grid), _metadata_built_eagerly(grid, MEASURE_NAMES, None)),
-        (run_sweep(grid, ("gqd",)), _metadata_built_eagerly(grid, ("gqd",), None)),
         (run_preset("m08"), _metadata_built_eagerly(m08.grid, m08.measures, "m08")),
     )
     for result, want in cases:
