@@ -183,10 +183,15 @@ def flip_probability(kernel: KernelValue | float) -> float:
 
     Raises
     ------
+    DomainError
+        If ``kernel`` is not a real number.
     InvalidKernelError
         If |K| exceeds 1 beyond roundoff, which would make p leave [0, 1].
     """
-    k = kernel.k if isinstance(kernel, KernelValue) else float(kernel)
+    try:
+        k = kernel.k if isinstance(kernel, KernelValue) else float(kernel)
+    except (TypeError, ValueError):
+        raise DomainError(f"kernel must be a real number, got {kernel!r}") from None
     if not abs(k) <= 1.0 + PROB_ATOL:
         raise InvalidKernelError(f"|K| = {abs(k)} > 1")
     return min(max(0.5 * (1.0 - k), 0.0), 1.0)
@@ -224,10 +229,13 @@ def joint_probabilities(p: float, mu: float) -> JointProbabilities:
     """
     import numpy as np
 
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError(f"mu must be in [0, 1], got {mu}")
+    for name, value in (("p", p), ("mu", mu)):
+        try:
+            if not 0.0 <= value <= 1.0:
+                raise DomainError(f"{name} must be in [0, 1], got {value}")
+        except (TypeError, ValueError):
+            # It does not compare with a float, or gives no one truth value.
+            raise DomainError(f"{name} must be a real number, got {value!r}") from None
     single = np.array([1.0 - p, 0.0, 0.0, p])
     table = (1.0 - mu) * np.outer(single, single) + mu * np.diag(single)
     return JointProbabilities(table)

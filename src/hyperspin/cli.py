@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from typing import NoReturn, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from ._version import __version__
 from .errors import (
@@ -207,22 +207,27 @@ def _sweep(args: argparse.Namespace) -> int:
         # The registry loads no numpy, so an unknown id fails before the engine loads.
         from .presets import figure_preset
 
-        figure_preset(args.figure)
-    grid = None if figure else _sweep_grid_from_args(args)
-    # The sweep engine, and with it numpy, loads here, once every flag is
-    # checked; the other commands never import it.
-    from .sweep import _emit, run_preset, run_sweep
-
-    result = run_preset(args.figure) if figure else run_sweep(grid)
+        grid = figure_preset(args.figure).grid
+    else:
+        grid = _sweep_grid_from_args(args)
     sink = sys.stdout if args.out is None else args.out
-    # Rendered by two forked workers where it can; the bytes are those of ``emit``.
-    nbytes = _emit(result, args.format, sink, split=True)
+    # Opened before the engine loads: an output that cannot be written fails at once.
+    nbytes = _to_sink(sink, _sweep_pieces(args, grid))
     target = "<stdout>" if args.out is None else args.out
     print(
-        f"wrote {len(result)} records ({nbytes} bytes, {args.format}) to {target}",
+        f"wrote {len(grid)} records ({nbytes} bytes, {args.format}) to {target}",
         file=sys.stderr,
     )
     return EXIT_OK
+
+
+def _sweep_pieces(args: argparse.Namespace, grid: SweepGrid) -> Iterator[bytes]:
+    """The output of a checked ``sweep``, as ``emit`` writes it.  The sweep
+    engine, and with it numpy, loads here; the other commands never import it."""
+    from .sweep import _pieces, run_preset, run_sweep
+
+    result = run_sweep(grid) if args.figure is None else run_preset(args.figure)
+    yield from _pieces(result, args.format, split=True)
 
 
 def _cmd_check(_: argparse.Namespace) -> int:

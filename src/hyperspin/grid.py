@@ -27,7 +27,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from typing import IO, Any, Callable, Iterable, Sequence
+from typing import IO, Any, Iterable, Sequence
 
 from .channel import ChannelConfig, _survival, dephase, memory_kernel
 from .errors import DomainError, HyperspinError
@@ -276,73 +276,66 @@ def point_row(grid: SweepGrid) -> SweepRow:
     return SweepRow(channel, phi, mu, tau, cfg.regime.value, t, record)
 
 
-def _to_sink(
-    sink: str | os.PathLike | IO | None,
-    texts: Iterable[bytes],
-    commit: Callable[[], None] | None = None,
-) -> int:
+def _to_sink(sink: str | os.PathLike | IO | None, texts: Iterable[bytes]) -> int:
     """Write ``texts``, UTF-8, to ``sink``, a path, a binary stream or a text
-    stream; returns the bytes written.
+    stream; returns the bytes written.  The sink is opened before the first
+    piece is made, and ``texts`` is closed on any exit.
 
     A path that names a regular file, or nothing, is written through a
-    temporary file beside it (see ``_replacing``), which is opened once the
-    first piece of ``texts`` is made and renamed over the path only after
-    the last byte, once ``commit`` (if given) has returned; any failure or
-    interrupt before that removes the temporary file and leaves the path as
-    it was.  Any other path, a device or a FIFO such as ``/dev/null``, is
-    opened ``"wb"`` and written in place.  A binary stream
-    (``io.RawIOBase``, ``io.BufferedIOBase``) is written directly.  A text
-    stream is flushed, so that what it holds goes out first, and its binary
-    layer ``.buffer`` is written.  A binary layer may take part of a write,
-    as a raw ``FileIO`` may, so each write is repeated until all is taken.
-    A stream with no binary layer is written decoded text; ``commit`` runs
-    after a stream's last byte too.  ``None``, the ``sys.stdout`` of a
-    process started with its standard output closed, raises
-    ``HyperspinError``, and any other sink with no ``write``
-    ``DomainError``, before a piece is made.
+    temporary file beside it (see ``_replacing``), renamed over the path
+    only once ``texts`` has ended; any failure or interrupt before that
+    removes it and leaves the path as it was.  Any other path, a device or
+    a FIFO such as ``/dev/null``, is opened ``"wb"`` and written in place.
+    A binary stream (``io.RawIOBase``, ``io.BufferedIOBase``) is written
+    directly.  A text stream is flushed, so that what it holds goes out
+    first, and its binary layer ``.buffer`` is written.  A binary layer may
+    take part of a write, as a raw ``FileIO`` may, so each write is repeated
+    until all is taken.  A stream with no binary layer is written decoded
+    text.  ``None``, the ``sys.stdout`` of a process started with its
+    standard output closed, raises ``HyperspinError``, and any other sink
+    with no ``write`` ``DomainError``.
     """
-    if sink is None:
-        raise HyperspinError("no output stream: standard output is closed")
-    path = isinstance(sink, (str, os.PathLike))
-    if not path and not hasattr(sink, "write"):
-        raise DomainError(f"sink must be a path or a stream, got {sink!r}")
-    texts = iter(texts)
-    data = next(texts, None)
-    target = temporary = None
-    if path:
-        target, temporary, binary = _replacing(sink)
-    elif isinstance(sink, (io.RawIOBase, io.BufferedIOBase)):
-        binary = sink
-    elif (binary := getattr(sink, "buffer", None)) is not None:
-        sink.flush()
     try:
-        nbytes = 0
-        while data is not None:
-            if binary is None:
-                if data:
-                    sink.write(data.decode("utf-8"))
-            else:
-                view = memoryview(data)
-                while view:
-                    view = view[binary.write(view) :]
-                del view
-            nbytes += len(data)
-            # Free this piece before the next one is made or read.
-            del data
-            data = next(texts, None)
+        if sink is None:
+            raise HyperspinError("no output stream: standard output is closed")
+        path = isinstance(sink, (str, os.PathLike))
+        if not path and not hasattr(sink, "write"):
+            raise DomainError(f"sink must be a path or a stream, got {sink!r}")
+        target = temporary = None
         if path:
-            binary.close()
-        if commit is not None:
-            commit()
-        if temporary is not None:
-            os.replace(temporary, target)
-            temporary = None
-        return nbytes
+            target, temporary, binary = _replacing(sink)
+        elif isinstance(sink, (io.RawIOBase, io.BufferedIOBase)):
+            binary = sink
+        elif (binary := getattr(sink, "buffer", None)) is not None:
+            sink.flush()
+        try:
+            nbytes = 0
+            for data in texts:
+                if binary is None:
+                    if data:
+                        sink.write(data.decode("utf-8"))
+                else:
+                    view = memoryview(data)
+                    while view:
+                        view = view[binary.write(view) :]
+                    del view
+                nbytes += len(data)
+                # Free this piece before the next one is made or read.
+                del data
+            if path:
+                binary.close()
+            if temporary is not None:
+                os.replace(temporary, target)
+                temporary = None
+            return nbytes
+        finally:
+            if path:
+                binary.close()
+            if temporary is not None:
+                os.unlink(temporary)
     finally:
-        if path:
-            binary.close()
-        if temporary is not None:
-            os.unlink(temporary)
+        if hasattr(texts, "close"):
+            texts.close()
 
 
 def _replacing(path: str | os.PathLike) -> tuple[str | None, str | None, IO[bytes]]:

@@ -257,8 +257,12 @@ def _concurrence(w: Any, z: Any) -> Any:
 
 def concurrence_closed(ch: HyperonChannel, phi: float, eta: float) -> float:
     """Closed-form concurrence ``|eta * gamma2|`` straight from channel and angle."""
-    if _eta_outside(eta):
-        raise DomainError(f"eta must be in [0, 1], got {eta}")
+    try:
+        if _eta_outside(eta):
+            raise DomainError(f"eta must be in [0, 1], got {eta}")
+    except (TypeError, ValueError):
+        # It does not compare with a float, or gives no one truth value.
+        raise DomainError(f"eta must be a real number, got {eta!r}") from None
     return abs(eta * xstate_params(ch, phi).gamma2)
 
 
@@ -270,9 +274,12 @@ def entanglement_of_formation(c: float) -> float:
     Raises
     ------
     DomainError
-        If ``c`` is outside [0, 1] by more than 1e-12.
+        If ``c`` is not a real number, or is outside [0, 1] by more than 1e-12.
     """
-    _check_concurrence(c)
+    try:
+        _check_concurrence(c)
+    except (TypeError, ValueError):
+        raise DomainError(f"concurrence must be a real number, got {c!r}") from None
     return _eof(c, _FLOAT_OPS)
 
 

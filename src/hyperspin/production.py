@@ -66,10 +66,17 @@ class HyperonChannel:
     delta_theta: float
 
     def __post_init__(self) -> None:
-        if not -1.0 <= self.upsilon_psi <= 1.0:
-            raise DomainError(f"upsilon_psi must be in [-1, 1], got {self.upsilon_psi}")
-        if not -math.pi <= self.delta_theta <= math.pi:
-            raise DomainError(f"delta_theta must be in [-pi, pi], got {self.delta_theta}")
+        for name, bound, domain in (
+            ("upsilon_psi", 1.0, "[-1, 1]"),
+            ("delta_theta", math.pi, "[-pi, pi]"),
+        ):
+            value = getattr(self, name)
+            try:
+                if not -bound <= value <= bound:
+                    raise DomainError(f"{name} must be in {domain}, got {value}")
+            except (TypeError, ValueError):
+                # It does not compare with a float, or gives no one truth value.
+                raise DomainError(f"{name} must be a real number, got {value!r}") from None
         # The phi-free leading factors of the polarization numerator and of
         # the radicand's second term, computed once per channel.  Each is the
         # left-most factor of its left-to-right product, so the products keep

@@ -39,19 +39,18 @@ numpy columns.  So the columns equal the scalar path bit for bit,
 which the test suite and ``hyperspin check`` verify row by row, and the
 engine rejects exactly the rows that ``point_row`` rejects.
 
-The ``hyperspin sweep`` command renders in two forked workers and merges
-their text in a parent that renders nothing.  Once ``run_sweep`` has built
-and checked the columns, it forks two identical workers on Linux if the
-rows take more than one chunk.  Worker ``k`` evaluates and renders chunks
-``k``, ``k + 2``, ...; ``_to_sink`` writes each slice's bytes into an
-unbuffered pipe of its own as one length-prefixed frame, and an empty
-frame at each chunk's end.  The parent hands the frames, chunk by chunk
-from the two pipes in turn, to the writer of ``emit``, which reads worker
-0's first frame before it opens the sink, and renames an output file into
-place only once both workers have exited with status 0, so a failed run
-leaves a file as it was; the bytes and the byte count are those of
-``emit``.  The parent holds the columns, the metadata and one
-frame at a time; each worker holds its chunk's columns and one slice of
+The ``hyperspin sweep`` command opens its output before it loads this
+module, renders in two forked workers and merges their text in a parent
+that renders nothing.  Once ``run_sweep`` has built and checked the
+columns, it forks two identical workers on Linux if the rows take more
+than one chunk.  Worker ``k`` evaluates and renders chunks ``k``, ``k +
+2``, ...; ``_to_sink`` writes each slice's bytes into an unbuffered pipe
+of its own as one length-prefixed frame, and an empty frame at each
+chunk's end.  The parent hands the frames, chunk by chunk from the two
+pipes in turn, to ``_to_sink``, which renames an output file into place
+only once both workers have exited with status 0, so a failed run leaves
+a file as it was; the bytes and the byte count are those of ``emit``.
+The parent holds the columns, the metadata and one frame at a time; each worker holds its chunk's columns and one slice of
 text besides the pages it shares with the parent.  As the parent renders
 nothing, the peak of the command is its footprint at the fork.  Each pipe
 is asked to hold 1 MiB, about a chunk's text, so a worker can run a chunk
@@ -572,27 +571,30 @@ def emit(result: SweepResult, fmt: str, sink: str | Path | IO[str] | IO[bytes]) 
 
 
 def _emit(result: SweepResult, fmt: str, sink: str | Path | IO, split: bool) -> int:
-    """``emit``; with ``split``, on Linux, a computed result of two or more
-    chunks is rendered by two forked workers, and this process only merges
-    their text.  The bytes written and the count returned are the same
-    either way."""
+    """``emit``; with ``split``, as ``_pieces`` renders it."""
+    return _to_sink(sink, _pieces(result, fmt, split))
+
+
+def _pieces(result: SweepResult, fmt: str, split: bool) -> Iterator[bytes]:
+    """``_document`` of ``result``, ``fmt`` checked at once; with ``split``, on
+    Linux, a computed result of two or more chunks is rendered by two forked
+    workers (``_from_workers``).  The pieces are the same either way."""
     try:
         form = _FORMATS[fmt]
     except (KeyError, TypeError):
         raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}") from None
     columns = result._columns
     if split and sys.platform == "linux" and columns is not None and len(columns) > _CHUNK_ROWS:
-        return _emit_from_workers(result, fmt, sink, form, columns)
-    return _to_sink(sink, _document(result, fmt, form.render(result._chunks())))
+        return _from_workers(result, fmt, form, columns)
+    return _document(result, fmt, form.render(result._chunks()))
 
 
 def _document(result: SweepResult, fmt: str, records: Iterator[bytes]) -> Iterator[bytes]:
     """The document as UTF-8: the text before the records, the records'
     slices, and the text after them; no slice is kept once handed on.
 
-    The head is made with the first slice, rendered or read from worker 0,
-    and ``_to_sink`` makes it before it opens a sink file, so a failure in
-    the metadata or the first rows opens no file.
+    The head is made with the first slice, rendered or read from worker 0:
+    a JSON document with no records has no records array to open.
     """
     first = next(records, None)
     head, tail = CSV_HEADER + "\n", ""
@@ -612,17 +614,18 @@ def _document(result: SweepResult, fmt: str, records: Iterator[bytes]) -> Iterat
     yield tail.encode("utf-8")
 
 
-def _emit_from_workers(
-    result: SweepResult, fmt: str, sink: str | Path | IO, form: _Format, columns: _Columns
-) -> int:
-    """``_emit`` of ``columns`` rendered by two forked workers.
+def _from_workers(
+    result: SweepResult, fmt: str, form: _Format, columns: _Columns
+) -> Iterator[bytes]:
+    """``_document`` of ``columns`` rendered by two workers, forked when the
+    first piece is asked for.
 
     Worker ``k`` renders chunks ``k``, ``k + 2``, ... and sends their slices
     through a pipe of its own.  This process renders nothing: it reads the
-    frames chunk by chunk, from the two pipes in turn, and writes them to
-    the sink.  Both workers are reaped, and must have exited with status 0,
-    before ``_to_sink`` renames an output file into place.  Any failure
-    kills both workers; both are always reaped.
+    frames chunk by chunk, from the two pipes in turn.  Both workers are
+    reaped, and must have exited with status 0, before this generator ends,
+    so ``_to_sink`` renames an output file into place only after that.  Any
+    failure, or an early close, kills both workers; both are always reaped.
     """
     # Unix-only, so imported here: ``emit`` must import on every platform.
     import fcntl
@@ -652,9 +655,8 @@ def _emit_from_workers(
                 os.close(write_fd)
             pids.append(pid)
         n_chunks = (len(columns) - 1) // _CHUNK_ROWS + 1
-        records = _interleaved(pipes, n_chunks)
-        commit = functools.partial(_reap, pids, pipes, check=True)
-        return _to_sink(sink, _document(result, fmt, records), commit)
+        yield from _document(result, fmt, _interleaved(pipes, n_chunks))
+        _reap(pids, pipes, check=True)
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)

@@ -196,6 +196,22 @@ def test_range_checks_reject_nan_and_unreadable_input(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: flip_probability("x"), "kernel must be a real number, got 'x'"),
+        (lambda: flip_probability(None), "kernel must be a real number, got None"),
+        (lambda: joint_probabilities("x", 0.5), "p must be a real number, got 'x'"),
+        (lambda: joint_probabilities(0.5, None), "mu must be a real number, got None"),
+    ],
+    ids=["kernel-str", "kernel-none", "p-str", "mu-none"],
+)
+def test_kraus_weights_of_a_wrong_type_are_a_domain_error(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_kraus_identity_channel():
     rho = density_matrix(channel_params("lambda"), 1.1)
     table = np.zeros((4, 4))

@@ -156,6 +156,42 @@ def test_writing_to_a_closed_stdout_is_one_error_line(argv):
     assert proc.stderr == b"hyperspin: error: no output stream: standard output is closed\n"
 
 
+#: ``main`` on the arguments, then its exit code and what it loaded of the
+#: sweep engine, on stderr.
+ENGINE_PROBE = (
+    "import sys\n"
+    "from hyperspin.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "loaded = [name for name in ('numpy', 'hyperspin.sweep') if name in sys.modules]\n"
+    "print(code, loaded, file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_unwritable_out_fails_before_the_engine_loads(fmt, tmp_path):
+    # h2b, the largest preset: nothing of it is evaluated.
+    out = tmp_path / "missing" / "x.csv"
+    argv = ["sweep", "--figure", "h2b", "--format", fmt, "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", ENGINE_PROBE, *argv], capture_output=True, env=BUFFERED, timeout=300
+    )
+    assert proc.stdout == b""
+    assert proc.stderr.decode("utf-8") == (
+        f"hyperspin: i/o error: [Errno 2] No such file or directory: '{out}'\n1 []\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_closed_stdout_fails_before_the_engine_loads():
+    proc = subprocess.run(
+        _stdout_closed([sys.executable, "-c", ENGINE_PROBE, "sweep", "--figure", "h2b"]),
+        capture_output=True,
+        env=BUFFERED,
+        timeout=300,
+    )
+    assert proc.stderr == b"hyperspin: error: no output stream: standard output is closed\n1 []\n"
+
+
 #: The sha256 of ``sweep --figure h1a`` as CSV, the pin in tests/test_golden.py.
 H1A_CSV = "9842e5a8aed04cdd23d9110bc178e45511d80f43617bb200fa9f84013a63d3cb"
 

@@ -143,9 +143,9 @@ def _check_failing_worker(forks, monkeypatch, capsys, tmp_path, worker, fmt, how
     out = tmp_path / "out"
     assert cli.main(_sweep_argv(3, fmt) + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == message
-    # Worker 0's first frame is read before the temporary file is opened,
-    # and that file is removed: the path is left as it was, absent.
-    assert opened == ([str(out)] if worker == 1 else [])
+    # The temporary file is opened before the sweep is evaluated, and it is
+    # removed: the path is left as it was, absent.
+    assert opened == [str(out)]
     assert os.listdir(tmp_path) == []
     assert len(forks) == 2
     _assert_no_child_left()

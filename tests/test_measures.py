@@ -249,6 +249,21 @@ def test_eof_endpoints_and_monotonicity():
         entanglement_of_formation(-0.01)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: entanglement_of_formation("0.5"), "concurrence must be a real number, got '0.5'"),
+        (lambda: entanglement_of_formation(None), "concurrence must be a real number, got None"),
+        (lambda: concurrence_closed(LAMBDA, 1.0, "0.5"), "eta must be a real number, got '0.5'"),
+    ],
+    ids=["eof-str", "eof-none", "closed-eta-str"],
+)
+def test_a_scalar_of_a_wrong_type_is_a_domain_error(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_eof_steady_state_value():
     got = entanglement_of_formation(0.38)
     direct = binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - 0.38**2)))

@@ -26,7 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: So are ``_write`` and ``_write_document``, the text and the byte writers
 #: that ``hyperspin.grid._to_sink`` replaced when every output became bytes,
 #: and ``_records_from``, whose part ``_document`` took back when
-#: ``_to_sink`` began to make the first piece before it opens a path.
+#: ``_to_sink`` made the first piece before it opened a path (it now opens
+#: the path first).
 #: ``_coherence_l1``, ``_discord``, ``_eof`` and ``_steering`` are left out
 #: too: the engine imported them but reads none of them since it runs
 #: ``_measure_values`` (see ``test_no_module_imports_a_name_it_never_reads``).

@@ -57,6 +57,20 @@ def test_channel_validation():
         HyperonChannel("bad", 0.0, 4.0)
 
 
+@pytest.mark.parametrize(
+    "upsilon_psi, delta_theta, message",
+    [
+        ("0.5", 0.0, "upsilon_psi must be a real number, got '0.5'"),
+        (0.5, None, "delta_theta must be a real number, got None"),
+    ],
+    ids=["upsilon-str", "delta-none"],
+)
+def test_channel_constants_of_a_wrong_type_are_a_domain_error(upsilon_psi, delta_theta, message):
+    with pytest.raises(DomainError) as err:
+        HyperonChannel("x", upsilon_psi, delta_theta)
+    assert str(err.value) == message
+
+
 def test_polarization_vanishes_at_boundaries():
     ch = channel_params("lambda")
     assert polarization(ch, 0.0) == 0.0

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -318,6 +319,46 @@ def test_emit_writes_a_fifo_and_dev_null_in_place(tmp_path):
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
     assert set(os.listdir(os.path.dirname(os.devnull))) == dev
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "null"]
+
+
+class _Full:
+    """A stream, or the file that ``_to_sink`` opens for a path, whose every
+    write fails with ENOSPC."""
+
+    def __init__(self, file=None):
+        self.file = file
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def close(self):
+        if self.file is not None:
+            self.file.close()
+
+
+@pytest.mark.parametrize("to_path", [False, True], ids=["stream", "path"])
+def test_a_failed_write_closes_the_pieces(monkeypatch, tmp_path, to_path):
+    ended = []
+
+    def pieces():
+        try:
+            yield b"head\n"
+            yield b"rows\n"
+        finally:
+            ended.append(True)
+
+    sink = _Full()
+    if to_path:
+        opened = lambda *args: _Full(open(*args))
+        monkeypatch.setattr(grid_module, "open", opened, raising=False)
+        sink = tmp_path / "out"
+    with pytest.raises(OSError) as info:
+        grid_module._to_sink(sink, pieces())
+    # Closed before ``_to_sink`` raised, though its frame, which holds the
+    # pieces, lives on in the traceback.
+    assert ended == [True]
+    assert info.value.errno == errno.ENOSPC
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
