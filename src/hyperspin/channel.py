@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from .errors import DomainError, InvalidKernelError, NegativeTimeError
+from .errors import DomainError, InvalidKernelError, NegativeTimeError, _check_domain, _not_real
 from .production import DensityMatrix4
 
 if TYPE_CHECKING:
@@ -35,6 +35,14 @@ if TYPE_CHECKING:
 BOUNDARY_ATOL = 1e-9
 KERNEL_LIMIT_V = 1e-6
 PROB_ATOL = 1e-12
+
+
+def _outside_unit(value: Any) -> bool:
+    return not 0.0 <= value <= 1.0
+
+
+def _tau_outside(tau: Any) -> bool:
+    return not 0.0 < tau < math.inf
 
 
 class Regime(enum.Enum):
@@ -56,19 +64,8 @@ class ChannelConfig:
     regime: Regime = field(init=False, repr=False, compare=False)
 
     def __init__(self, mu: float, tau: float) -> None:
-        try:
-            mu_inside = 0.0 <= mu <= 1.0
-        except (TypeError, ValueError):
-            # It does not compare with a float, or gives no one truth value.
-            raise DomainError(f"mu must be a real number, got {mu!r}") from None
-        if not mu_inside:
-            raise DomainError(f"mu must be in [0, 1], got {mu}")
-        try:
-            tau_inside = 0.0 < tau < math.inf
-        except (TypeError, ValueError):
-            raise DomainError(f"tau must be a real number, got {tau!r}") from None
-        if not tau_inside:
-            raise DomainError(f"tau must be finite and > 0, got {tau}")
+        _check_domain("mu", mu, _outside_unit, "in [0, 1]")
+        _check_domain("tau", tau, _tau_outside, "finite and > 0")
         # Python floats: an np.float64 tau would warn where u * u overflows.
         u = 1.0 / (2.0 * float(tau))
         if u * u == math.inf:
@@ -111,6 +108,10 @@ class KernelValue:
 _last_kernel: tuple[float, ChannelConfig, KernelValue] | None = None
 
 
+def _not_finite(value: Any) -> bool:
+    return not math.isfinite(value)
+
+
 def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
     """Ensemble-averaged telegraph dephasing kernel K(t).
 
@@ -141,12 +142,7 @@ def memory_kernel(t: float, cfg: ChannelConfig) -> KernelValue:
     last = _last_kernel
     if last is not None and last[0] is t and last[1] is cfg:
         return last[2]
-    try:
-        finite = math.isfinite(t)
-    except TypeError:
-        raise DomainError(f"time must be a real number, got {t!r}") from None
-    if not finite:
-        raise DomainError(f"time must be finite, got {t}")
+    _check_domain("time", t, _not_finite, "finite")
     if t < 0.0:
         raise NegativeTimeError(f"time must be >= 0, got {t}")
     # Python floats: numpy scalars would warn where u * t or v * t overflows.
@@ -188,10 +184,10 @@ def flip_probability(kernel: KernelValue | float) -> float:
     InvalidKernelError
         If |K| exceeds 1 beyond roundoff, which would make p leave [0, 1].
     """
-    try:
-        k = kernel.k if isinstance(kernel, KernelValue) else float(kernel)
-    except (TypeError, ValueError):
-        raise DomainError(f"kernel must be a real number, got {kernel!r}") from None
+    k = kernel.k if isinstance(kernel, KernelValue) else kernel
+    # Checked before ``float``, which would parse a string.
+    _check_domain("kernel", k, _not_real, "a real number")
+    k = float(k)
     if not abs(k) <= 1.0 + PROB_ATOL:
         raise InvalidKernelError(f"|K| = {abs(k)} > 1")
     return min(max(0.5 * (1.0 - k), 0.0), 1.0)
@@ -229,13 +225,8 @@ def joint_probabilities(p: float, mu: float) -> JointProbabilities:
     """
     import numpy as np
 
-    for name, value in (("p", p), ("mu", mu)):
-        try:
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must be in [0, 1], got {value}")
-        except (TypeError, ValueError):
-            # It does not compare with a float, or gives no one truth value.
-            raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    _check_domain("p", p, _outside_unit, "in [0, 1]")
+    _check_domain("mu", mu, _outside_unit, "in [0, 1]")
     single = np.array([1.0 - p, 0.0, 0.0, p])
     table = (1.0 - mu) * np.outer(single, single) + mu * np.diag(single)
     return JointProbabilities(table)
@@ -292,12 +283,7 @@ def dephase(rho: DensityMatrix4, eta: float) -> DensityMatrix4:
     (the block determinants only grow), so the result is built without
     re-validation from the four populations and the two scaled entries.
     """
-    try:
-        if _eta_outside(eta):
-            raise DomainError(f"eta must be in [0, 1], got {eta}")
-    except (TypeError, ValueError):
-        # It does not compare with a float, or gives no one truth value.
-        raise DomainError(f"eta must be a real number, got {eta!r}") from None
+    _check_domain("eta", eta, _eta_outside, "in [0, 1]")
     return DensityMatrix4._of_entries(
         rho.rho11, rho.rho22, rho.rho33, rho.rho44, rho.rho14 * eta, rho.rho23 * eta
     )

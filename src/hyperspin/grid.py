@@ -22,6 +22,7 @@ too, so ``measure`` writes through it without loading the engine.
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
 import os
@@ -29,10 +30,12 @@ import stat
 from dataclasses import dataclass
 from typing import IO, Any, Iterable, Sequence
 
-from .channel import ChannelConfig, _survival, dephase, memory_kernel
-from .errors import DomainError, HyperspinError
+from .channel import (
+    ChannelConfig, _not_finite, _outside_unit, _survival, _tau_outside, dephase, memory_kernel
+)
+from .errors import DomainError, HyperspinError, _check_domain
 from .measures import MeasureRecord, measure_all
-from .production import PHI_ATOL, channel_params, density_matrix
+from .production import _phi_outside, channel_params, density_matrix
 
 FLOAT_FORMAT = "%.12g"
 
@@ -92,12 +95,7 @@ def check_range(axis: str, start: float, stop: float, step: float) -> int:
         ``stop < start``; the message names ``axis``.
     """
     for name, value in (("start", start), ("stop", stop), ("step", step)):
-        try:
-            finite = math.isfinite(value)
-        except TypeError:
-            raise DomainError(f"{axis} {name} must be a real number, got {value!r}") from None
-        if not finite:
-            raise DomainError(f"{axis} {name} must be finite, got {value}")
+        _check_domain(f"{axis} {name}", value, _not_finite, "finite")
     if step <= 0.0:
         raise DomainError(f"{axis} step must be > 0, got {step}")
     if stop < start:
@@ -143,12 +141,12 @@ class TimeGrid:
         return axis_values("time", self.start, self.stop, self.step)
 
 
-#: The list axes of a ``SweepGrid``: each one's name, whether a value lies
-#: in its domain, and what a value outside it is.
+#: The list axes of a ``SweepGrid``: each one's name, the predicate of its
+#: scalar input, and what a value outside its domain is.
 _AXIS_DOMAINS = (
-    ("phi", lambda p: -PHI_ATOL <= p <= math.pi + PHI_ATOL, "outside [0, pi]"),
-    ("mu", lambda m: 0.0 <= m <= 1.0, "outside [0, 1]"),
-    ("tau", lambda t: 0.0 < t < math.inf, "must be finite and > 0"),
+    ("phi", _phi_outside, "outside [0, pi]"),
+    ("mu", _outside_unit, "outside [0, 1]"),
+    ("tau", _tau_outside, "must be finite and > 0"),
 )
 
 
@@ -173,14 +171,14 @@ class SweepGrid:
                 raise DomainError(f"{name} must be a sequence of numbers, got {values!r}") from None
             if empty:
                 raise DomainError(f"{name} list must be non-empty")
-        for name, inside, domain in _AXIS_DOMAINS:
+        for name, outside, domain in _AXIS_DOMAINS:
             for value in getattr(self, name):
+                # ``_check_domain``'s rule, in the words the CLI prints.
                 try:
-                    ok = inside(value)
+                    bad = outside(value)
                 except (TypeError, ValueError):
-                    # It does not compare with a float, or gives no one truth value.
                     raise DomainError(f"{name} value {value!r} is not a real number") from None
-                if not ok:
+                if bad:
                     raise DomainError(f"{name} value {value} {domain}")
         if not isinstance(self.time, TimeGrid):
             raise DomainError(f"time must be a TimeGrid, got {self.time!r}")
@@ -287,13 +285,13 @@ def _to_sink(sink: str | os.PathLike | IO | None, texts: Iterable[bytes]) -> int
     removes it and leaves the path as it was.  Any other path, a device or
     a FIFO such as ``/dev/null``, is opened ``"wb"`` and written in place.
     A binary stream (``io.RawIOBase``, ``io.BufferedIOBase``) is written
-    directly.  A text stream is flushed, so that what it holds goes out
-    first, and its binary layer ``.buffer`` is written.  A binary layer may
+    directly.  A UTF-8 text stream is flushed, so that what it holds goes
+    out first, and its binary layer ``.buffer`` is written.  A binary layer may
     take part of a write, as a raw ``FileIO`` may, so each write is repeated
-    until all is taken.  A stream with no binary layer is written decoded
-    text.  ``None``, the ``sys.stdout`` of a process started with its
-    standard output closed, raises ``HyperspinError``, and any other sink
-    with no ``write`` ``DomainError``.
+    until all is taken.  A stream of another encoding, or with no binary
+    layer, is written decoded text.  ``None``, the ``sys.stdout`` of a process
+    started with its standard output closed, raises ``HyperspinError``, and
+    any other sink with no ``write`` ``DomainError``.
     """
     try:
         if sink is None:
@@ -306,6 +304,8 @@ def _to_sink(sink: str | os.PathLike | IO | None, texts: Iterable[bytes]) -> int
             target, temporary, binary = _replacing(sink)
         elif isinstance(sink, (io.RawIOBase, io.BufferedIOBase)):
             binary = sink
+        elif codecs.lookup(getattr(sink, "encoding", None) or "utf-8").name != "utf-8":
+            binary = None
         elif (binary := getattr(sink, "buffer", None)) is not None:
             sink.flush()
         try:

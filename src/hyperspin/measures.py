@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple
 
 from .channel import _eta_outside
-from .errors import DomainError
+from .errors import DomainError, _check_domain, _not_real
 from .production import DensityMatrix4, HyperonChannel, xstate_params
 
 if TYPE_CHECKING:
@@ -96,6 +96,8 @@ class FanoBloch:
     r30: float
 
     def __post_init__(self) -> None:
+        for name in ("r11", "r22", "r33", "r03", "r30"):
+            _check_domain(name, getattr(self, name), _not_real, "a real number")
         _check_bloch((self.r11, self.r22, self.r33, self.r03, self.r30))
 
 
@@ -257,12 +259,7 @@ def _concurrence(w: Any, z: Any) -> Any:
 
 def concurrence_closed(ch: HyperonChannel, phi: float, eta: float) -> float:
     """Closed-form concurrence ``|eta * gamma2|`` straight from channel and angle."""
-    try:
-        if _eta_outside(eta):
-            raise DomainError(f"eta must be in [0, 1], got {eta}")
-    except (TypeError, ValueError):
-        # It does not compare with a float, or gives no one truth value.
-        raise DomainError(f"eta must be a real number, got {eta!r}") from None
+    _check_domain("eta", eta, _eta_outside, "in [0, 1]")
     return abs(eta * xstate_params(ch, phi).gamma2)
 
 
@@ -276,10 +273,7 @@ def entanglement_of_formation(c: float) -> float:
     DomainError
         If ``c`` is not a real number, or is outside [0, 1] by more than 1e-12.
     """
-    try:
-        _check_concurrence(c)
-    except (TypeError, ValueError):
-        raise DomainError(f"concurrence must be a real number, got {c!r}") from None
+    _check_domain("concurrence", c, _concurrence_outside, "in [0, 1]")
     return _eof(c, _FLOAT_OPS)
 
 
@@ -287,11 +281,6 @@ def _concurrence_outside(c: Any) -> Any:
     """Whether ``c`` is NaN or outside [0, 1] by more than roundoff: a bool
     for a float, a mask over rows for a numpy column."""
     return (c < -DOMAIN_ATOL) | (c > 1.0 + DOMAIN_ATOL) | (c != c)
-
-
-def _check_concurrence(c: float) -> None:
-    if _concurrence_outside(c):
-        raise DomainError(f"concurrence must be in [0, 1], got {c}")
 
 
 def _eof(c: Any, ops: _Ops) -> Any:
@@ -421,7 +410,7 @@ def measure_all(rho: DensityMatrix4, eta: float, kernel: float) -> MeasureRecord
     w = abs(rho.rho14)
     z = abs(rho.rho23)
     c = _concurrence(w, z)
-    _check_concurrence(c)
+    _check_domain("concurrence", c, _concurrence_outside, "in [0, 1]")
     r11, r22, r33, _, r30 = _bloch_components(rho)
     bounds = _steering_bounds(rho.rho11, rho.rho22, rho.rho33, rho.rho44)
     s_ab, s_ba, delta_s, code, c, eof, gqd, l1 = _measure_values(

@@ -38,6 +38,8 @@ from .errors import (
     NegativeDiscriminantError,
     NotXStateError,
     UnknownChannelError,
+    _check_domain,
+    _not_real,
 )
 
 if TYPE_CHECKING:
@@ -66,26 +68,17 @@ class HyperonChannel:
     delta_theta: float
 
     def __post_init__(self) -> None:
-        for name, bound, domain in (
-            ("upsilon_psi", 1.0, "[-1, 1]"),
-            ("delta_theta", math.pi, "[-pi, pi]"),
-        ):
-            value = getattr(self, name)
-            try:
-                if not -bound <= value <= bound:
-                    raise DomainError(f"{name} must be in {domain}, got {value}")
-            except (TypeError, ValueError):
-                # It does not compare with a float, or gives no one truth value.
-                raise DomainError(f"{name} must be a real number, got {value!r}") from None
+        u, theta = self.upsilon_psi, self.delta_theta
+        _check_domain("upsilon_psi", u, lambda x: not -1.0 <= x <= 1.0, "in [-1, 1]")
+        _check_domain("delta_theta", theta, lambda x: not -math.pi <= x <= math.pi, "in [-pi, pi]")
         # The phi-free leading factors of the polarization numerator and of
         # the radicand's second term, computed once per channel.  Each is the
         # left-most factor of its left-to-right product, so the products keep
         # their bits.  Instance attributes, not fields: equality, hash and
         # repr see the three fields only.
-        u = self.upsilon_psi
         d = self.__dict__
-        d["_polarization_scale"] = math.sqrt(1.0 - u**2) * math.sin(self.delta_theta)
-        d["_radicand_scale"] = (1.0 - u**2) * math.sin(self.delta_theta) ** 2
+        d["_polarization_scale"] = math.sqrt(1.0 - u**2) * math.sin(theta)
+        d["_radicand_scale"] = (1.0 - u**2) * math.sin(theta) ** 2
 
 
 #: Measured central values per channel; uncertainties are not modeled.
@@ -123,6 +116,8 @@ class XStateParams:
     gamma3: float
 
     def __post_init__(self) -> None:
+        for name in ("kappa", "gamma1", "gamma2", "gamma3"):
+            _check_domain(name, getattr(self, name), _not_real, "a real number")
         tol = 1e-9
         if not abs(self.kappa) <= 1.0 + tol:
             raise DomainError(f"|kappa| must be <= 1, got {self.kappa}")
@@ -260,14 +255,12 @@ class DensityMatrix4:
         return m
 
 
+def _phi_outside(phi: Any) -> bool:
+    return not -PHI_ATOL <= phi <= math.pi + PHI_ATOL
+
+
 def _check_phi(phi: float) -> float:
-    try:
-        inside = -PHI_ATOL <= phi <= math.pi + PHI_ATOL
-    except (TypeError, ValueError):
-        # It does not compare with a float, or gives no one truth value.
-        raise DomainError(f"phi must be a real number, got {phi!r}") from None
-    if not inside:
-        raise DomainError(f"phi must be in [0, pi], got {phi}")
+    _check_domain("phi", phi, _phi_outside, "in [0, pi]")
     return float(phi)
 
 

@@ -128,6 +128,16 @@ def test_flip_probability_linear_map():
         flip_probability(1.1)
 
 
+@pytest.mark.parametrize("kernel", [np.float64(0.5), np.array(0.5)], ids=["scalar", "0-d"])
+def test_flip_probability_of_a_numpy_kernel_is_a_float(kernel):
+    p = flip_probability(kernel)
+    assert type(p) is float and p == 0.25
+    with pytest.raises(InvalidKernelError):
+        flip_probability(kernel * np.nan)
+    with pytest.raises(InvalidKernelError):
+        flip_probability(kernel * 3.0)
+
+
 def test_joint_probabilities_independent():
     jp = joint_probabilities(0.5, 0.0)
     for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
@@ -203,8 +213,11 @@ def test_range_checks_reject_nan_and_unreadable_input(call):
         (lambda: flip_probability(None), "kernel must be a real number, got None"),
         (lambda: joint_probabilities("x", 0.5), "p must be a real number, got 'x'"),
         (lambda: joint_probabilities(0.5, None), "mu must be a real number, got None"),
+        # A number written as text is refused, not parsed.
+        (lambda: flip_probability("0.5"), "kernel must be a real number, got '0.5'"),
+        (lambda: flip_probability(b"0.5"), "kernel must be a real number, got b'0.5'"),
     ],
-    ids=["kernel-str", "kernel-none", "p-str", "mu-none"],
+    ids=["kernel-str", "kernel-none", "p-str", "mu-none", "kernel-numeric-str", "kernel-bytes"],
 )
 def test_kraus_weights_of_a_wrong_type_are_a_domain_error(call, message):
     with pytest.raises(DomainError) as err:

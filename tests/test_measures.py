@@ -16,6 +16,7 @@ from hyperspin import (
     CHANNELS,
     ChannelConfig,
     DomainError,
+    FanoBloch,
     SteeringClass,
     SweepGrid,
     TimeGrid,
@@ -255,8 +256,14 @@ def test_eof_endpoints_and_monotonicity():
         (lambda: entanglement_of_formation("0.5"), "concurrence must be a real number, got '0.5'"),
         (lambda: entanglement_of_formation(None), "concurrence must be a real number, got None"),
         (lambda: concurrence_closed(LAMBDA, 1.0, "0.5"), "eta must be a real number, got '0.5'"),
+        (lambda: FanoBloch(None, 0.1, 0, 0, 0), "r11 must be a real number, got None"),
+        (lambda: FanoBloch(0.1, "0.5", 0, 0, 0), "r22 must be a real number, got '0.5'"),
+        (
+            lambda: FanoBloch(0.1, 0.1, 0, 0, np.array([0.1, 0.2])),
+            "r30 must be a real number, got array([0.1, 0.2])",
+        ),
     ],
-    ids=["eof-str", "eof-none", "closed-eta-str"],
+    ids=["eof-str", "eof-none", "closed-eta-str", "bloch-none", "bloch-str", "bloch-array"],
 )
 def test_a_scalar_of_a_wrong_type_is_a_domain_error(call, message):
     with pytest.raises(DomainError) as err:

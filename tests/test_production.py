@@ -71,6 +71,21 @@ def test_channel_constants_of_a_wrong_type_are_a_domain_error(upsilon_psi, delta
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (("0.5", 0.1, 0, 0), "kappa must be a real number, got '0.5'"),
+        ((0.0, 0.5, None, 0), "gamma2 must be a real number, got None"),
+        ((0.0, 0.5, 0.1, np.array([0.1, 0.2])), "gamma3 must be a real number, got array([0.1, 0.2])"),
+    ],
+    ids=["kappa-str", "gamma-none", "gamma-array"],
+)
+def test_xstate_params_of_a_wrong_type_are_a_domain_error(fields, message):
+    with pytest.raises(DomainError) as err:
+        XStateParams(*fields)
+    assert str(err.value) == message
+
+
 def test_polarization_vanishes_at_boundaries():
     ch = channel_params("lambda")
     assert polarization(ch, 0.0) == 0.0

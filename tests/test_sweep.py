@@ -239,6 +239,11 @@ def test_emit_to_path(tmp_path):
     nbytes = emit(result, "csv", target)
     assert target.read_bytes() == target.read_text().encode()
     assert nbytes == len(target.read_bytes())
+    # A text stream of another encoding is written text, which it encodes.
+    utf16 = tmp_path / "out-utf16.csv"
+    with open(utf16, "w", encoding="utf-16") as stream:
+        emit(result, "csv", stream)
+    assert utf16.read_text(encoding="utf-16") == target.read_text()
 
 
 def test_unrenderable_json_leaves_the_file_as_it_was(tmp_path):
